@@ -3,25 +3,22 @@
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
     python3 bench/run.py --smoke
 
-Workloads (all closed loops with one caller; see bench/README.md):
+Workloads (closed loops with one caller in one process; see bench/README.md):
 
     fit_wide_csv   `survcbps fit` on seeded CSV files at (n, p) = (2000, 100)
-    study_default  `survcbps simulate` on the configs/benchmark.conf design,
-                   workers 2
     boot_large_n   `survcbps simulate` at n = 5000, p = 10 with the two
                    bootstrap baselines, workers 1
 
 The package is driven only through `survcbps.cli.main` and the library; all
 inputs are generated from --seed. With --trace 0 the last stdout line holds
 the end-to-end metrics; with --trace 1 it holds the per-layer metrics of a
-separate traced pass. --smoke runs every workload at a tiny size, traced and
+separate traced pass. --smoke runs both workloads at a tiny size, traced and
 untraced, in a few seconds.
 """
 
 import os
 
-# One BLAS/OpenMP thread per process, fixed before numpy loads. Pool workers
-# inherit the environment, so the threads in use never exceed the workers.
+# One BLAS/OpenMP thread, fixed before numpy loads, so a run uses one core.
 THREAD_CAPS = {
     name: "1"
     for name in (
@@ -45,6 +42,7 @@ import re  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import traceback  # noqa: E402
@@ -59,23 +57,15 @@ RUN_DIR = ROOT / ".bench_run"
 
 WORKLOADS = {
     "fit_wide_csv": {"kind": "fit", "n": 2000, "p": 100, "files": 8},
-    # 25 replications per study: a quarter of the 100-replication design,
-    # so per-study costs (true_ate, pilot, pool start-up) keep their weight.
-    "study_default": {
-        "kind": "study", "conf": "study_default.conf", "flags": [],
-        "reps": 25, "workers": 2,
-    },
-    "boot_large_n": {
-        "kind": "study", "conf": "boot_large_n.conf", "flags": [],
-        "reps": 1, "workers": 1,
-    },
+    "boot_large_n": {"kind": "study", "conf": "boot_large_n.conf", "flags": []},
 }
 SMOKE = {
     "fit_wide_csv": {"n": 200, "p": 10, "files": 2},
-    "study_default": {"flags": ["--n", "120", "--p", "5"], "reps": 2},
     "boot_large_n": {"flags": ["--n", "300", "--p", "5", "--n-boot", "30"]},
 }
 SETUP_REPEATS = 3
+# Fresh interpreters that import the package, for the import share of setup_s.
+IMPORT_REPEATS = 3
 DEGENERATE = re.compile(r"(\d+) of \d+ bootstrap resamples were degenerate")
 
 
@@ -130,6 +120,21 @@ def prepare(run, sc, target):
     return paths
 
 
+def import_seconds():
+    """Median seconds to import survcbps.cli, over IMPORT_REPEATS fresh
+    interpreters; each is waited for, and killed if it outlives 60 s."""
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+            "t = time.perf_counter(); import survcbps.cli; "
+            "print(time.perf_counter() - t)")
+    times = []
+    for _ in range(IMPORT_REPEATS):
+        out = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                             capture_output=True, text=True, check=True,
+                             timeout=60)
+        times.append(float(out.stdout))
+    return statistics.median(times)
+
+
 def set_up(run, sc):
     """Prepare inputs SETUP_REPEATS times; returns the median seconds."""
     times = []
@@ -163,7 +168,7 @@ def quiet_call(call, argv):
         return call(argv)
 
 
-def fit_unit(run, k, call, workers):
+def fit_unit(run, k, call):
     """One `survcbps fit` analysis of input file k mod (number of files)."""
     path = run.inputs[k % len(run.inputs)]
     out = run.work / "fit.json"
@@ -198,13 +203,13 @@ def fit_unit(run, k, call, workers):
     return unit
 
 
-def study_unit(run, k, call, workers):
-    """One `survcbps simulate` study of spec['reps'] replications."""
-    reps = run.spec["reps"]
+def study_unit(run, k, call):
+    """One `survcbps simulate` study of one replication, in this process."""
+    reps = 1
     out = run.work / f"study{k}"
     argv = ["simulate", "--config", str(run.inputs[0]), *run.spec["flags"],
             "--replications", str(reps), "--seed", str(run.seed * 1000 + k),
-            "--workers", str(workers), "--out-dir", str(out)]
+            "--workers", "1", "--out-dir", str(out)]
     unit = {"records": [], "problems": [], "reps": reps}
     t0 = time.perf_counter()
     try:
@@ -224,8 +229,6 @@ def study_unit(run, k, call, workers):
         ]
         return unit
     dump = json.loads((out / "dump.json").read_text())
-    unit["true_ate"] = dump["true_ate"]
-    unit["level"] = dump["config"]["level"]
     rows = [row["estimator"] for row in dump["rows"]]
     if sorted(rows) != sorted(run.estimators):
         unit["problems"].append(f"study{k}: report rows {rows}, expected one "
@@ -263,7 +266,7 @@ def unit_runner(run):
     return fit_unit if run.spec["kind"] == "fit" else study_unit
 
 
-def measure(run, call, workers, seconds):
+def measure(run, call, seconds):
     """Closed loop: as many units as bring the elapsed time closest to
     `seconds`, and at least one."""
     do_unit = unit_runner(run)
@@ -274,7 +277,7 @@ def measure(run, call, workers, seconds):
         elapsed = time.perf_counter() - start
         if done and elapsed + elapsed / len(done) / 2 >= seconds:
             break
-        done.append(do_unit(run, len(done), call, workers))
+        done.append(do_unit(run, len(done), call))
     return done
 
 
@@ -287,10 +290,10 @@ def paired_passes(run, sc, tr, units):
         for tracing in ((False, True) if k % 2 == 0 else (True, False)):
             clear_caches()
             if not tracing:
-                untraced.append(do_unit(run, k, sc.cli.main, 1))
+                untraced.append(do_unit(run, k, sc.cli.main))
                 continue
             try:
-                traced.append(do_unit(run, k, traced_call(run, tr), 1))
+                traced.append(do_unit(run, k, traced_call(run, tr)))
             finally:
                 tr.close()
     return untraced, traced
@@ -312,50 +315,19 @@ def rep_seconds(units):
     return list(per_rep.values())
 
 
-def peak_rss_mb(pool_workers):
-    """Peak RSS of this process plus pool_workers times the largest child's.
-
-    Pages a forked worker shares with its parent count once per process, so
-    this is an upper bound on the memory the run held at its peak.
-    """
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + pool_workers * child) / 1024.0
-
-
-def accuracy(units):
-    """RMSE and |coverage - level| of the proposed estimator against true_ate."""
-    errs, covered, level = [], [], None
-    for unit in units:
-        level = unit.get("level", level)
-        for rec in unit["records"]:
-            if rec["estimator"] == "proposed" and rec["error"] is None \
-                    and "true_ate" in unit:
-                errs.append(rec["ate"] - unit["true_ate"])
-                covered.append(rec["ci_low"] <= unit["true_ate"] <= rec["ci_high"])
-    if not errs:
-        return {"proposed_reps": 0, "proposed_rmse": 0.0,
-                "proposed_coverage_gap_pct": 0.0}
-    return {
-        "proposed_reps": len(errs),
-        "proposed_rmse": math.sqrt(sum(e * e for e in errs) / len(errs)),
-        "proposed_coverage_gap_pct":
-            abs(100.0 * sum(covered) / len(covered) - 100.0 * level),
-    }
-
-
-def end_to_end(run, units, setup_s, workers):
+def end_to_end(run, units, prepare_s):
     recs = records_of(units)
     failed = sum(rec["error"] is not None for rec in recs)
     reps = sum(unit["reps"] for unit in units)
     wall = sum(unit["wall_s"] for unit in units)
     per_rep = rep_seconds(units)
     metrics = {
-        "setup_s": setup_s,
+        "setup_s": import_seconds() + prepare_s,
         "fit_s_p50": statistics.median(per_rep),
         "reps_per_s": reps / wall,
         "success_frac": (len(recs) - failed) / len(recs),
-        "peak_rss_mb": peak_rss_mb(workers if workers > 1 else 0),
+        "peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     notes = {"fit_s_p50": f"median of {len(per_rep)} "
                           f"{'analyses' if run.spec['kind'] == 'fit' else 'replications'}",
@@ -372,7 +344,7 @@ def pct(values, q):
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def per_layer(run, tr, ref, untraced, traced, workers):
+def per_layer(run, tr, ref, untraced, traced):
     """Per-layer figures per unit of work: one analysis, or one replication."""
     totals = tr.totals()
     c = tr.counters
@@ -440,16 +412,14 @@ def per_layer(run, tr, ref, untraced, traced, workers):
     }
     study = run.spec["kind"] == "study"
     ref_recs = records_of(ref) if study else []
-    for name in ("proposed", "naive_ipw", "aipw"):
+    for name in ("naive_ipw", "aipw"):
         times = [r["runtime_ms"] for r in ref_recs
                  if r["estimator"] == name and r["error"] is None]
         m[f"simulation.{name}.rep_ms_p50"] = pct(times, 50)
         m[f"simulation.{name}.rep_ms_p90"] = pct(times, 90)
     busy = sum(r["runtime_ms"] for r in ref_recs) / 1e3
     m["simulation.worker_busy_frac"] = ratio(
-        busy, workers * sum(unit["wall_s"] for unit in ref)) if study else 0.0
-    for key, value in accuracy(traced).items():
-        m[f"simulation.{key}"] = value
+        busy, sum(unit["wall_s"] for unit in ref)) if study else 0.0
     m["trace.overhead_pct"] = 100.0 * (
         sum(rep_seconds(traced)) / sum(rep_seconds(untraced)) - 1.0)
     m["trace.units"] = u
@@ -554,26 +524,25 @@ def git_commit():
     return None
 
 
-def run_workload(name, spec, seed, seconds, trace, sc, import_s, out_root):
+def run_workload(name, spec, seed, seconds, trace, sc, out_root):
     """Set up, measure and check one workload; returns the result document."""
     work = out_root / "work" / f"{name}-{seed}-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
     run = Run(spec, seed, work)
-    workers = spec.get("workers", 1)
     try:
-        setup_s = import_s + set_up(run, sc)
+        prepare_s = set_up(run, sc)
         if not trace:
-            units = measure(run, sc.cli.main, workers, seconds)
-            metrics, notes, attempted, failed = end_to_end(run, units, setup_s, workers)
+            units = measure(run, sc.cli.main, seconds)
+            metrics, notes, attempted, failed = end_to_end(run, units, prepare_s)
             problems = [p for unit in units for p in unit["problems"]]
-            study = spec["kind"] == "study" and "proposed" in run.estimators
-            extra = accuracy(units) if study else {}
             doc_units = units
         else:
-            ref = measure(run, sc.cli.main, workers, seconds / (1 + workers))
+            # A third of the run for the reference pass and two thirds for
+            # the paired passes over the same units.
+            ref = measure(run, sc.cli.main, seconds / 3)
             tr = Tracer()
             untraced, traced = paired_passes(run, sc, tr, len(ref))
-            values = per_layer(run, tr, ref, untraced, traced, workers)
+            values = per_layer(run, tr, ref, untraced, traced)
             diff = sorted(set(mismatches(ref, untraced)) | set(mismatches(ref, traced)))
             values["trace.estimate_mismatches"] = len(diff)
             passes = [ref, untraced, traced]
@@ -581,7 +550,7 @@ def run_workload(name, spec, seed, seconds, trace, sc, import_s, out_root):
                         for p in unit["problems"]]
             problems += [f"{key}: estimate differs between passes"
                          for key in diff]
-            metrics, notes, extra = values, {}, {}
+            metrics, notes = values, {}
             recs = [rec for units in passes for rec in records_of(units)]
             attempted = len(recs)
             failed = sum(rec["error"] is not None for rec in recs)
@@ -595,7 +564,8 @@ def run_workload(name, spec, seed, seconds, trace, sc, import_s, out_root):
         "workload": name, "seed": seed, "seconds": seconds, "trace": int(trace),
         "correct": not problems, "attempted": attempted, "failed": failed,
         "problems": problems, "metrics": metrics, "notes": notes,
-        "accuracy": extra,
+        "unit_wall_s": [unit["wall_s"] for unit in doc_units],
+        "rep_s": rep_seconds(doc_units),
         "estimates": {rec["key"]: [rec["ate"], rec["se"]]
                       for rec in records_of(doc_units)},
     }
@@ -622,8 +592,6 @@ def print_metrics(doc, line):
         note = doc["notes"].get(key)
         print(f"{doc['workload']:<14} {key:<40} {metric['value']:>14.6g} "
               f"{metric['unit']}" + (f"  ({note})" if note else ""))
-    for key, value in doc["accuracy"].items():
-        print(f"{doc['workload']:<14} {key:<40} {value:>14.6g}  (not gated)")
     for problem in doc["problems"]:
         print(f"CHECK FAILED: {problem}")
 
@@ -640,14 +608,14 @@ def report(doc, env):
     print(json.dumps(line))
 
 
-def smoke(sc, import_s):
+def smoke(sc):
     """Every workload at a tiny size, untraced and traced."""
+    shutil.rmtree(RUN_DIR / "smoke", ignore_errors=True)
     ok = True
     for name, spec in WORKLOADS.items():
         tiny = {**spec, **SMOKE[name]}
         for trace in (0, 1):
-            doc = run_workload(name, tiny, 7, 1, trace, sc, import_s,
-                               RUN_DIR / "smoke")
+            doc = run_workload(name, tiny, 7, 1, trace, sc, RUN_DIR / "smoke")
             print_metrics(doc, result_line(doc))
             ok = ok and doc["correct"] and doc["failed"] == 0
             print(f"smoke {name:<14} trace={trace} correct={doc['correct']} "
@@ -672,13 +640,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not args.smoke and args.workload is None:
         parser.error("--workload is required unless --smoke is given")
-    t0 = time.perf_counter()
     sc = import_package()
-    import_s = time.perf_counter() - t0
     if args.smoke:
-        return smoke(sc, import_s)
+        return smoke(sc)
     doc = run_workload(args.workload, WORKLOADS[args.workload], args.seed,
-                       args.seconds, args.trace, sc, import_s, RUN_DIR)
+                       args.seconds, args.trace, sc, RUN_DIR)
     report(doc, environment(args.seed))
     return 0
 
