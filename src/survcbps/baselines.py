@@ -101,13 +101,37 @@ def _ipw_point(y, delta, d, pi, k1y, k0y):
     return mu1, mu0, w1, w0
 
 
-def _boot_ci(point, boots, level, min_ok=20):
-    boots = np.asarray(boots, dtype=float)
-    if boots.size < min_ok:
+def _bootstrap(data, y, delta, d, point_fn, *, ate, level, clip, floor,
+               n_boot, stream, notes):
+    """Bootstrap SE and normal CI, refitting censoring and propensity per resample.
+
+    ``point_fn(y, delta, d, x, pi, k1y, k0y)`` returns ``(mu1, mu0)`` on a
+    resample drawn from ``SeedSequence(stream)``. Degenerate resamples are
+    skipped and counted in ``notes``; fewer than 20 usable ones give NaN.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(stream))
+    boots = []
+    failures = 0
+    for _ in range(n_boot):
+        idx = rng.integers(0, data.n, data.n)
+        try:
+            yb, db, deltab, xb = y[idx], d[idx], delta[idx], data.x[idx]
+            k1b = CensorSurvival.fit(yb[db == 1], deltab[db == 1], floor=floor)
+            k0b = CensorSurvival.fit(yb[db == 0], deltab[db == 0], floor=floor)
+            pib, _ = _naive_propensity(xb, db, clip)
+            m1b, m0b = point_fn(
+                yb, deltab, db, xb, pib, k1b.evaluate(yb), k0b.evaluate(yb)
+            )
+            boots.append(m1b - m0b)
+        except (DegenerateArmError, np.linalg.LinAlgError):
+            failures += 1
+    if failures:
+        notes.append(f"{failures} of {n_boot} bootstrap resamples were degenerate")
+    if len(boots) < 20:
         return float("nan"), (float("nan"), float("nan"))
-    se = float(boots.std(ddof=1))
+    se = float(np.asarray(boots, dtype=float).std(ddof=1))
     z = float(ndtri(0.5 + level / 2.0))
-    return se, (point - z * se, point + z * se)
+    return se, (ate - z * se, ate + z * se)
 
 
 def _medians_from_pi(y, d, pi):
@@ -141,26 +165,14 @@ def fit_naive_ipw(
     mu1, mu0, w1, w0 = _ipw_point(y, delta, d, pi, k1y, k0y)
     ate = mu1 - mu0
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x1F)))
-    boots = []
-    failures = 0
-    floor = k1.floor
-    for _ in range(n_boot):
-        idx = rng.integers(0, data.n, data.n)
-        try:
-            yb, db, deltab, xb = y[idx], d[idx], delta[idx], data.x[idx]
-            k1b = CensorSurvival.fit(yb[db == 1], deltab[db == 1], floor=floor)
-            k0b = CensorSurvival.fit(yb[db == 0], deltab[db == 0], floor=floor)
-            pib, _ = _naive_propensity(xb, db, clip)
-            m1b, m0b, _, _ = _ipw_point(
-                yb, deltab, db, pib, k1b.evaluate(yb), k0b.evaluate(yb)
-            )
-            boots.append(m1b - m0b)
-        except (DegenerateArmError, np.linalg.LinAlgError):
-            failures += 1
-    if failures:
-        notes.append(f"{failures} of {n_boot} bootstrap resamples were degenerate")
-    se, (lo, hi) = _boot_ci(ate, boots, level)
+    se, (lo, hi) = _bootstrap(
+        data, y, delta, d,
+        lambda yb, deltab, db, xb, pib, k1yb, k0yb: _ipw_point(
+            yb, deltab, db, pib, k1yb, k0yb
+        )[:2],
+        ate=ate, level=level, clip=clip, floor=k1.floor, n_boot=n_boot,
+        stream=(seed, 0x1F), notes=notes,
+    )
     med1, med0 = _medians_from_pi(y, d, pi)
     return ATEResult(
         mu1=mu1, mu0=mu0, ate=ate, se=se, ci_low=lo, ci_high=hi,
@@ -249,29 +261,14 @@ def fit_aipw(
     notes.extend(str(w.message) for w in caught)
     ate = mu1 - mu0
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x2F)))
-    boots = []
-    failures = 0
-    floor = k1.floor
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        for _ in range(n_boot):
-            idx = rng.integers(0, data.n, data.n)
-            try:
-                yb, db, deltab, xb = y[idx], d[idx], delta[idx], data.x[idx]
-                k1b = CensorSurvival.fit(yb[db == 1], deltab[db == 1], floor=floor)
-                k0b = CensorSurvival.fit(yb[db == 0], deltab[db == 0], floor=floor)
-                pib, _ = _naive_propensity(xb, db, clip)
-                m1b, m0b = _aipw_point(
-                    yb, deltab, db, xb, pib,
-                    k1b.evaluate(yb), k0b.evaluate(yb), outcome_model,
-                )
-                boots.append(m1b - m0b)
-            except (DegenerateArmError, np.linalg.LinAlgError):
-                failures += 1
-    if failures:
-        notes.append(f"{failures} of {n_boot} bootstrap resamples were degenerate")
-    se, (lo, hi) = _boot_ci(ate, boots, level)
+        se, (lo, hi) = _bootstrap(
+            data, y, delta, d,
+            lambda *resample: _aipw_point(*resample, outcome_model),
+            ate=ate, level=level, clip=clip, floor=k1.floor, n_boot=n_boot,
+            stream=(seed, 0x2F), notes=notes,
+        )
     med1, med0 = _medians_from_pi(y, d, pi)
     w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)
     return ATEResult(

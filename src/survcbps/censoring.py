@@ -8,6 +8,12 @@ censoring event at the same time are resolved by letting the outcome event
 happen first, so a ``delta == 1`` subject at time t is not at risk for a
 censoring event at t.
 
+The counts come from one sort and binary searches, O(n log n) per fit: the
+censoring events at t_k are counted by ``np.unique`` on the censored times,
+and #{y > t_k} is n minus the number of sorted y at or below t_k. The risk set
+at t_k is that count plus the censoring events at t_k. Every count is an exact
+integer, so the curve equals the one formed by scanning all rows per t_k.
+
 Curves are evaluated with the left limit K(u) = prod_{t_k < u} (1 - d_k/n_k)
 (strict inequality) and clamped below at a configurable floor so that
 weights 1/K stay bounded.
@@ -52,24 +58,29 @@ class CensorSurvival:
 
     @classmethod
     def fit(cls, y, delta, floor: float = 0.05) -> "CensorSurvival":
-        """Product-limit fit on raw arrays (single arm)."""
+        """Product-limit fit on raw arrays (single arm).
+
+        ``y`` must be finite and >= 0 and ``delta`` 0/1, both 1-d of equal
+        length; anything else raises ``InputError``.
+        """
         y = np.asarray(y, dtype=float)
         delta = np.asarray(delta)
+        if y.ndim != 1 or delta.shape != y.shape:
+            raise InputError("y and delta must be 1-d arrays of equal length")
         if y.size == 0:
             raise DegenerateArmError("cannot fit a censoring curve on no records")
         if not 0.0 < floor < 1.0:
             raise InputError("floor must lie in (0, 1)")
-        cens_times = np.unique(y[delta == 0])
+        if not np.all(np.isfinite(y)) or np.any(y < 0):
+            raise InputError("y must be finite and nonnegative")
+        if not np.all(np.isin(delta, (0, 1))):
+            raise InputError("delta must contain only 0 or 1")
+        cens_times, d_k = np.unique(y[delta == 0], return_counts=True)
         if cens_times.size == 0:
             return cls(times=np.empty(0), values=np.empty(0), floor=floor)
-        # Censoring events at t; risk set = {y > t} plus censored rows at t,
-        # outcome events at t having already left.
-        d_k = np.array(
-            [np.sum((y == t) & (delta == 0)) for t in cens_times], dtype=float
-        )
-        n_k = np.array(
-            [np.sum(y > t) for t in cens_times], dtype=float
-        ) + d_k
+        # Risk set = {y > t} plus censored rows at t, outcome events at t
+        # having already left.
+        n_k = y.size - np.searchsorted(np.sort(y), cens_times, side="right") + d_k
         surv = np.cumprod(1.0 - d_k / n_k)
         return cls(times=cens_times, values=np.maximum(surv, floor), floor=floor)
 

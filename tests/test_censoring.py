@@ -25,6 +25,19 @@ def brute_force_censor_survival(y, delta, u):
     return value
 
 
+def scan_censor_fit(y, delta, floor):
+    """O(n*k) reference fit: one full scan of the rows per censoring time."""
+    y = np.asarray(y, dtype=float)
+    delta = np.asarray(delta)
+    cens_times = np.unique(y[delta == 0])
+    d_k = np.array(
+        [np.sum((y == t) & (delta == 0)) for t in cens_times], dtype=float
+    )
+    n_k = np.array([np.sum(y > t) for t in cens_times], dtype=float) + d_k
+    surv = np.cumprod(1.0 - d_k / n_k)
+    return cens_times, np.maximum(surv, floor)
+
+
 def test_hand_worked_curve():
     # censor events at 1 and 3, outcome events at 2 and 3
     y = np.array([1.0, 2.0, 3.0, 3.0])
@@ -69,6 +82,25 @@ def test_brute_force_agreement_random_fixtures():
             assert abs(curve.evaluate(u) - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("ties", [True, False])
+def test_scan_oracle_bit_exact(ties):
+    rng = np.random.default_rng(29)
+    clamped = 0
+    for n in (1, 2, 3, 7, 40, 300, 1000, 3000):
+        for floor in (1e-12, 0.05, 0.6):
+            if ties:
+                y = rng.integers(0, max(2, n // 8), n).astype(float)
+            else:
+                y = rng.exponential(2.0, n)
+            delta = (rng.random(n) < 0.6).astype(np.int8)
+            curve = CensorSurvival.fit(y, delta, floor=floor)
+            times, values = scan_censor_fit(y, delta, floor)
+            np.testing.assert_array_equal(curve.times, times)
+            np.testing.assert_array_equal(curve.values, values)
+            clamped += int(np.sum(values == floor))
+    assert clamped > 0
+
+
 def test_floor_clamps_small_values():
     y = np.array([1.0, 2.0])
     delta = np.array([0, 0])
@@ -83,6 +115,25 @@ def test_evaluate_validates_input():
         curve.evaluate(-1.0)
     with pytest.raises(sc.InputError):
         curve.evaluate(np.inf)
+
+
+@pytest.mark.parametrize(
+    "y, delta",
+    [
+        ([1.0, np.nan, 2.0], [0, 1, 0]),
+        ([1.0, np.inf, 2.0], [0, 1, 0]),
+        ([1.0, -0.5, 2.0], [0, 1, 0]),
+        ([1.0, 2.0, 3.0], [0, 1]),
+        ([[1.0, 2.0], [3.0, 4.0]], [[0, 1], [1, 0]]),
+        ([1.0, 2.0, 3.0], [0, 2, 1]),
+        ([1.0, 2.0, 3.0], [0, np.nan, 1]),
+    ],
+    ids=["nan_y", "inf_y", "negative_y", "delta_length", "two_d",
+         "delta_two", "delta_nan"],
+)
+def test_fit_validates_input(y, delta):
+    with pytest.raises(sc.InputError):
+        CensorSurvival.fit(np.array(y), np.array(delta))
 
 
 def test_constructor_validation():
