@@ -35,7 +35,7 @@ class FitError(SurvCbpsError):
 
 
 class SelectionError(FitError):
-    """Every candidate fit on the tuning grid failed."""
+    """No candidate on the tuning grid could be fitted."""
 
 
 class SingularMatrixError(SurvCbpsError):

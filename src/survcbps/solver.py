@@ -22,6 +22,13 @@ and steps are accepted only when Q strictly decreases. Coefficients whose
 magnitude falls below a hard threshold are snapped to exactly zero, which
 is what produces sparse fits.
 
+The line search halves a rejected step up to 40 times. At a stationary
+iterate, where the model decrement is at most 1e-8 * (1 + |Q|), it stops at
+the first rejected step instead, and the fit ends converged. A fit also ends
+converged once an accepted step moves no coefficient by more than outer_tol,
+and ends unconverged when 40 halvings find no decrease elsewhere or
+max_outer steps run out.
+
 Covariates are rescaled internally to unit variance so the penalty acts on
 comparable coordinates; estimates are mapped back to the original scale.
 Columns are not centered: the propensity model has no intercept, and
@@ -89,35 +96,27 @@ class PELFit:
         return PropensityParams(beta=self.beta_hat, clip=self.clip)
 
 
-def _logstar(z, eps):
+def _logstar(z, eps, derivs=False):
+    """log*(z), or with derivs=True the tuple (log*, log*', log*'').
+
+    One z < eps mask serves all three.
+    """
     z = np.asarray(z, dtype=float)
     lo = z < eps
+    any_lo = bool(lo.any())
+    zl = z[lo] if any_lo else None
     safe = np.where(lo, eps, z)
-    out = np.log(safe)
-    if lo.any():
-        zl = z[lo]
-        out[lo] = math.log(eps) - 1.5 + 2.0 * zl / eps - zl * zl / (2.0 * eps * eps)
-    return out
-
-
-def _logstar_d1(z, eps):
-    z = np.asarray(z, dtype=float)
-    lo = z < eps
-    safe = np.where(lo, eps, z)
-    out = 1.0 / safe
-    if lo.any():
-        out[lo] = 2.0 / eps - z[lo] / (eps * eps)
-    return out
-
-
-def _logstar_d2(z, eps):
-    z = np.asarray(z, dtype=float)
-    lo = z < eps
-    safe = np.where(lo, eps, z)
-    out = -1.0 / (safe * safe)
-    if lo.any():
-        out[lo] = -1.0 / (eps * eps)
-    return out
+    val = np.log(safe)
+    if any_lo:
+        val[lo] = math.log(eps) - 1.5 + 2.0 * zl / eps - zl * zl / (2.0 * eps * eps)
+    if not derivs:
+        return val
+    d1 = 1.0 / safe
+    d2 = -1.0 / (safe * safe)
+    if any_lo:
+        d1[lo] = 2.0 / eps - zl / (eps * eps)
+        d2[lo] = -1.0 / (eps * eps)
+    return val, d1, d2
 
 
 def solve_inner_dual(
@@ -136,24 +135,27 @@ def solve_inner_dual(
     if n < 1:
         raise InputError("gmat needs at least one row")
     eps = 1.0 / n
+    # lam = 0 gives z = 1 and a dual objective of exactly 0
     lam = np.zeros(m)
+    z = np.ones(n)
+    val = 0.0
     if lambda_init is not None:
         cand = np.asarray(lambda_init, dtype=float)
         if cand.shape == (m,) and np.all(np.isfinite(cand)):
-            # fall back to 0 when the warm start is worse than cold
-            if float(np.sum(_logstar(1.0 + g @ cand, eps))) > 0.0:
-                lam = cand.copy()
-    z = 1.0 + g @ lam
-    val = float(np.sum(_logstar(z, eps)))
-    grad = g.T @ _logstar_d1(z, eps)
+            # keep the warm start only when it beats the cold one
+            zc = 1.0 + g @ cand
+            vc = float(np.sum(_logstar(zc, eps)))
+            if vc > 0.0:
+                lam, z, val = cand.copy(), zc, vc
+    _, d1, d2 = _logstar(z, eps, derivs=True)
+    grad = g.T @ d1
     gnorm = float(np.max(np.abs(grad))) if m else 0.0
     iters = 0
     stalled = False
     for _ in range(max_iter):
         if gnorm <= tol:
             break
-        curv = _logstar_d2(z, eps)
-        a_mat = -(g.T @ (curv[:, None] * g))
+        a_mat = -(g.T @ (d2[:, None] * g))
         ridge = 1e-12 * (1.0 + np.trace(a_mat) / m)
         a_mat[np.diag_indices_from(a_mat)] += ridge
         try:
@@ -184,7 +186,8 @@ def solve_inner_dual(
         iters += 1
         if not improved:
             break
-        grad = g.T @ _logstar_d1(z, eps)
+        _, d1, d2 = _logstar(z, eps, derivs=True)
+        grad = g.T @ d1
         gnorm = float(np.max(np.abs(grad)))
     return ELDualState(
         lam=lam,
@@ -203,7 +206,8 @@ def el_weights(gmat, lam) -> np.ndarray:
     """
     g = np.asarray(gmat, dtype=float)
     n = g.shape[0]
-    return _logstar_d1(1.0 + g @ np.asarray(lam, dtype=float), 1.0 / n) / n
+    z = 1.0 + g @ np.asarray(lam, dtype=float)
+    return _logstar(z, 1.0 / n, derivs=True)[1] / n
 
 
 class _Workspace:
@@ -336,7 +340,7 @@ def fit_pel(
     outer = 0
     for outer in range(1, opts.max_outer + 1):
         lam = state.lam
-        row_scale = _logstar_d1(1.0 + gm @ lam, 1.0 / n)
+        row_scale = _logstar(1.0 + gm @ lam, 1.0 / n, derivs=True)[1]
         grad_el = ws.profile_grad(beta, lam, row_scale)
         jac = ws.mean_jac(beta)
         vhat = gm.T @ gm / n
@@ -364,6 +368,10 @@ def fit_pel(
         # contribute descent, so the stationarity test skips them.
         pinned = (beta == 0.0) & (np.abs(direction) < zero_tol)
         decrement = float(-grad_m[~pinned] @ direction[~pinned])
+        # Stationary when the model decrement is tiny. There a rejected step
+        # ends the line search at once: halving could buy only a decrease
+        # below this resolution, at one inner solve per try.
+        stationary = decrement <= 1e-8 * (1.0 + abs(q_cur))
         step = 1.0
         accepted = False
         cand = beta
@@ -375,10 +383,11 @@ def fit_pel(
             if q_cand < q_cur - 1e-12 * (1.0 + abs(q_cur)):
                 accepted = True
                 break
+            if stationary:
+                break
             step *= 0.5
         if not accepted:
-            # no further descent; stationary when the model decrement is tiny
-            converged = decrement <= 1e-8 * (1.0 + abs(q_cur))
+            converged = stationary
             break
         delta_max = float(np.max(np.abs(cand - beta)))
         beta, q_cur, state, gm = cand, q_cand, st_cand, gm_cand
@@ -425,7 +434,8 @@ def select_tau(
     Score: 2 * (EL term at the fit) + |active set| * log n. Candidates are
     visited from the largest tau down with warm starts, so equal scores
     resolve toward the sparser fit and the outcome does not depend on the
-    order of the supplied grid.
+    order of the supplied grid. The path stops at the first failed fit:
+    the best fit so far is returned, or SelectionError raised if none.
     """
     opts = opts or FitOptions()
     if grid is None:
@@ -436,7 +446,6 @@ def select_tau(
     logn = math.log(data.n)
     best = None
     warm = opts.beta_init
-    failures = []
     for tau in grid:
         try:
             fit = fit_pel(
@@ -444,14 +453,16 @@ def select_tau(
                 replace(opts, beta_init=warm),
             )
         except FitError as exc:
-            failures.append((float(tau), str(exc)))
-            continue
+            # fit_pel fails only at its starting points, whose inner dual
+            # does not depend on tau, and warm is left as it was: every
+            # smaller tau would fail the same way
+            if best is None:
+                raise SelectionError(
+                    f"fit at tau={float(tau):.6g} failed: {exc}"
+                ) from exc
+            break
         warm = fit.beta_hat
         score = 2.0 * fit.dual.inner_objective + fit.active_set.size * logn
         if best is None or score < best[0]:
             best = (score, float(tau), fit)
-    if best is None:
-        raise SelectionError(
-            f"every fit on the tau grid failed: {failures!r}"
-        )
     return best[1], best[2]

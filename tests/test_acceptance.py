@@ -135,7 +135,7 @@ def test_criterion_01_inner_dual_oracle(check):
 
 
 def test_criterion_02_derivative_checks(check):
-    from survcbps.solver import _Workspace, _logstar_d1
+    from survcbps.solver import _Workspace, _logstar
 
     ok = True
     # analytic moment jacobian against central differences
@@ -166,7 +166,7 @@ def test_criterion_02_derivative_checks(check):
         beta = rng.uniform(-0.25, 0.25, data.p)
         gm = ws.gmat(beta)
         state = sc.solve_inner_dual(gm, tol=1e-12)
-        row_scale = _logstar_d1(1.0 + gm @ state.lam, 1.0 / ws.n)
+        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / ws.n, derivs=True)[1]
         grad = ws.profile_grad(beta, state.lam, row_scale)
         h = 1e-5
         for j in range(data.p):

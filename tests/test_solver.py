@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -151,7 +152,7 @@ def test_pel_objective_composes_inner_and_penalty(toy_data):
 
 
 def test_profile_gradient_matches_finite_differences(toy_data):
-    from survcbps.solver import _Workspace, _logstar_d1
+    from survcbps.solver import _Workspace, _logstar
 
     k1 = sc.fit_censoring_km(toy_data, 1)
     k0 = sc.fit_censoring_km(toy_data, 0)
@@ -162,7 +163,7 @@ def test_profile_gradient_matches_finite_differences(toy_data):
         beta = rng.uniform(-0.25, 0.25, toy_data.p)
         gm = ws.gmat(beta)
         state = solve_inner_dual(gm, tol=1e-12)
-        row_scale = _logstar_d1(1.0 + gm @ state.lam, 1.0 / ws.n)
+        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / ws.n, derivs=True)[1]
         grad = ws.profile_grad(beta, state.lam, row_scale)
         h = 1e-5
         for j in range(toy_data.p):
@@ -278,3 +279,76 @@ def test_select_tau_deterministic(toy_data):
     tau_b, fit_b = select_tau(toy_data, k1, k0)
     assert tau_a == tau_b
     np.testing.assert_array_equal(fit_a.beta_hat, fit_b.beta_hat)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap solver.<name>, which callers look up at call time; count calls."""
+    from survcbps import solver
+
+    calls = []
+    real = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def test_refit_at_converged_beta_stops_at_once(toy_data, monkeypatch):
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    first = fit_pel(toy_data, k1, k0, ScadParams(lam=0.05))
+    assert first.converged
+    inner = _count_calls(monkeypatch, "solve_inner_dual")
+    again = fit_pel(
+        toy_data, k1, k0, ScadParams(lam=0.05),
+        FitOptions(beta_init=first.beta_hat),
+    )
+    # the starting point and one rejected step, not 40 halvings after it
+    assert len(inner) <= 2
+    assert again.converged
+
+
+def test_select_tau_inner_call_budget(toy_data, monkeypatch):
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    inner = _count_calls(monkeypatch, "solve_inner_dual")
+    select_tau(toy_data, k1, k0)
+    assert len(inner) < 150
+
+
+def test_select_tau_fails_fast_when_the_start_is_infeasible(monkeypatch):
+    data = small_dataset(seed=4, n=300, p=150)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    fits = _count_calls(monkeypatch, "fit_pel")
+    # the path is visited from the largest tau down
+    first = re.escape(f"tau={default_tau_grid(data.n, data.p)[-1]:.6g}")
+    with pytest.raises(sc.SelectionError, match=first + ".*initial point"):
+        select_tau(data, k1, k0)
+    assert len(fits) == 1
+
+
+def test_select_tau_keeps_the_best_fit_before_a_failure(toy_data, monkeypatch):
+    from survcbps import solver
+
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    grid = default_tau_grid(toy_data.n, toy_data.p)
+    tau_two, fit_two = select_tau(toy_data, k1, k0, grid=grid[-2:])
+    real = solver.fit_pel
+    calls = []
+
+    def fails_third(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise sc.FitError("synthetic failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fit_pel", fails_third)
+    tau, fit = select_tau(toy_data, k1, k0, grid=grid)
+    assert len(calls) == 3
+    assert tau == tau_two
+    np.testing.assert_array_equal(fit.beta_hat, fit_two.beta_hat)
