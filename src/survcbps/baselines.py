@@ -20,6 +20,19 @@ main estimator:
 Naive IPW and AIPW report nonparametric-bootstrap standard errors (the
 whole pipeline, censoring curves included, is refitted on each resample)
 with normal-approximation intervals.
+
+The bootstrap works on counts. Resample b draws its n row indices with one
+``integers(0, n, n)`` call, exactly as drawing rows would, and is kept as a
+row of counts: how often each row of the y-sorted data was drawn. Blocks of
+such rows go through count-weighted kernels together: the per-arm
+product-limit curves (``censoring._product_limit``), Newton logistic fits
+from beta = 0 that each stop at their own tolerance, and count-weighted
+point steps. The counts are exact integers, so the censoring curves equal
+those fitted to resampled copies, and everything else agrees with refitting
+each copy up to the order of floating-point sums. A block holds
+``max(1, 2**16 // max(n, q**2))`` resamples (q = p + 1), so each of its
+(block x n) arrays and its (block x q x q) Hessian stack holds about 2**16
+floats.
 """
 
 from __future__ import annotations
@@ -27,11 +40,12 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .censoring import CensorSurvival, fit_censoring_km
+from .censoring import CensorSurvival, _product_limit
 from .data import Dataset
 from .errors import DegenerateArmError, InputError
 from .inference import (
@@ -57,79 +71,199 @@ class BaselineSpec:
             raise InputError(f"unknown baseline kind: {self.kind!r}")
 
 
-def _logistic_mle(xmat, d, ridge=1e-6, max_iter=100, tol=1e-10):
-    """Logistic regression by Newton iteration; xmat already has any constant."""
-    n, q = xmat.shape
-    beta = np.zeros(q)
-    converged = False
+# A block of resamples is processed at once. Its (block x n) arrays and its
+# (block x q x q) Hessian stack each hold at most about this many floats.
+_BLOCK_FLOATS = 1 << 16
+
+
+class _Design:
+    """Design matrix ``x`` (constant included) with a stacked weighted Gram.
+
+    ``gram(w)`` is ``x.T @ diag(w[b]) @ x`` for every row b of ``w``. When
+    the row outer products take no more memory than q block arrays
+    (n q <= 2^16), it is one product with them; otherwise one product per row
+    of ``w``, which keeps memory at O(n q) for wide designs.
+    """
+
+    def __init__(self, x):
+        self.x = x
+        n, q = x.shape
+        self._outer = (
+            (x[:, :, None] * x[:, None, :]).reshape(n, q * q)
+            if n * q <= _BLOCK_FLOATS else None
+        )
+
+    def gram(self, w):
+        x, q = self.x, self.x.shape[1]
+        if self._outer is None:
+            return np.array([x.T @ (wb[:, None] * x) for wb in w]).reshape(-1, q, q)
+        return (w @ self._outer).reshape(-1, q, q)
+
+
+def _solve(a, b, fallback):
+    """Solve each system ``a[k] x = b[k]`` of a stack.
+
+    A singular system alone in its stack takes ``fallback(a[0], b[0])``. In a
+    larger stack ``LinAlgError`` propagates, and ``_bootstrap`` refits that
+    block one resample at a time, so every resample gets its own fallback.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if a.shape[0] > 1:
+            raise
+        return fallback(a[0], b[0])[None]
+
+
+def _lstsq(a, b):
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _logistic_mle(design, d, counts, ridge=1e-6, max_iter=100, tol=1e-10):
+    """Logistic regression by Newton iteration from beta = 0, one fit per row of counts.
+
+    ``counts[b, i]`` is how often row i of ``design.x`` enters fit b. Each fit
+    is frozen after its own first step with max |step| <= tol. ``clean[b]``
+    says fit b converged to a finite beta with |x beta| <= 30 on every row it
+    counts.
+    """
+    x = design.x
+    nb, q = counts.shape[0], x.shape[1]
+    beta = np.zeros((nb, q))
+    converged = np.zeros(nb, dtype=bool)
+    live = np.arange(nb)
+    diag = np.arange(q)
     for _ in range(max_iter):
-        eta = xmat @ beta
-        prob = expit(eta)
-        grad = xmat.T @ (d - prob) - ridge * beta
-        w = prob * (1.0 - prob) + 1e-12
-        hess = xmat.T @ (w[:, None] * xmat)
-        hess[np.diag_indices_from(hess)] += ridge + 1e-12
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        beta = beta + step
-        if np.max(np.abs(step)) <= tol:
-            converged = True
+        c, b = counts[live], beta[live]
+        prob = expit(b @ x.T)
+        grad = (c * (d - prob)) @ x - ridge * b
+        hess = design.gram(c * (prob * (1.0 - prob) + 1e-12))
+        hess[:, diag, diag] += ridge + 1e-12
+        step = _solve(hess, grad, _lstsq)
+        beta[live] = b + step
+        done = np.max(np.abs(step), axis=1) <= tol
+        converged[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
             break
-    clean = (
-        converged
-        and np.all(np.isfinite(beta))
-        and np.max(np.abs(xmat @ beta)) <= 30
-    )
-    return beta, bool(clean)
+    reach = np.where(counts > 0, np.abs(beta @ x.T), 0.0).max(axis=1)
+    clean = converged & np.all(np.isfinite(beta), axis=1) & (reach <= 30)
+    return beta, clean
 
 
-def _naive_propensity(x, d, clip, ridge=1e-6):
-    xmat = np.column_stack((np.ones(x.shape[0]), x))
-    coef, clean = _logistic_mle(xmat, d, ridge=ridge)
-    if not clean:
+def _propensity(design, d, counts, clip):
+    """Clipped logistic propensities and ``clean`` flags, one row per row of counts."""
+    beta, clean = _logistic_mle(design, d, counts)
+    if not clean.all():
         # likely separation; refit with a stronger ridge
-        coef, _ = _logistic_mle(xmat, d, ridge=1e-2)
-    pi = np.clip(expit(xmat @ coef), clip, 1.0 - clip)
-    return pi, clean
+        beta[~clean] = _logistic_mle(design, d, counts[~clean], ridge=1e-2)[0]
+    return np.clip(expit(beta @ design.x.T), clip, 1.0 - clip), clean
 
 
-def _ipw_point(y, delta, d, pi, k1y, k0y):
-    w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)
-    mu1, mu0 = _hajek_means(y, w1, w0)
-    return mu1, mu0, w1, w0
+def _naive_propensity(x, d, clip):
+    """Full-sample propensities: the one-row case of ``_propensity``."""
+    design = _Design(np.column_stack((np.ones(x.shape[0]), x)))
+    pi, clean = _propensity(design, d, np.ones((1, x.shape[0])), clip)
+    return pi[0], bool(clean[0])
 
 
-def _bootstrap(data, y, delta, d, point_fn, *, ate, level, clip, floor,
+def _ipw_means(c, y, delta, d, design, pi, kdy):
+    """Count-weighted Hajek means; ``ok`` is False where an arm has zero weight."""
+    w1 = c * (d * delta / (pi * kdy))
+    w0 = c * ((1.0 - d) * delta / ((1.0 - pi) * kdy))
+    den1, den0 = w1.sum(axis=1), w0.sum(axis=1)
+    ok = ~((den1 <= 0.0) | (den0 <= 0.0))
+    return (w1[ok] @ y) / den1[ok], (w0[ok] @ y) / den0[ok], ok
+
+
+def _ridged(gram, rhs):
+    """Least squares fallback for a rank-deficient outcome regression."""
+    ridge = max(1e-6 * float(np.trace(gram)), 1e-10)
+    _warnings.warn(
+        "outcome regression was rank deficient; ridge added", RuntimeWarning
+    )
+    return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
+
+
+def _aipw_means(c, y, delta, d, design, pi, kdy, outcome_model):
+    """Count-weighted AIPW means; ``ok`` is False where an arm has < 2 rows."""
+    ytil = delta * y / kdy
+    if outcome_model == "zero":
+        ok = np.ones(c.shape[0], dtype=bool)
+        m1 = m0 = np.zeros(ytil.shape)
+    else:
+        n1 = c @ d
+        ok = (n1 >= 2) & (c.sum(axis=1) - n1 >= 2)
+        c, ytil, pi = c[ok], ytil[ok], pi[ok]
+        x = design.x
+        m1, m0 = (
+            _solve(design.gram(ca), (ca * ytil) @ x, _ridged) @ x.T
+            for ca in (c * d, c * (1.0 - d))
+        )
+    n = y.shape[0]
+    mu1 = (c * (m1 + d * (ytil - m1) / pi)).sum(axis=1) / n
+    mu0 = (c * (m0 + (1.0 - d) * (ytil - m0) / (1.0 - pi))).sum(axis=1) / n
+    return mu1, mu0, ok
+
+
+def _bootstrap(data, y, delta, d, point_fn, *, ate, level, clip, floors,
                n_boot, stream, notes):
     """Bootstrap SE and normal CI, refitting censoring and propensity per resample.
 
-    ``point_fn(y, delta, d, x, pi, k1y, k0y)`` returns ``(mu1, mu0)`` on a
-    resample drawn from ``SeedSequence(stream)``. Degenerate resamples are
-    skipped and counted in ``notes``; fewer than 20 usable ones give NaN.
+    Resample b is drawn from ``SeedSequence(stream)``, one ``integers(0, n, n)``
+    call each, and becomes a row of counts over the y-sorted data; blocks of
+    rows go through the count kernels together. ``floors[arm]`` is each arm's
+    curve floor. ``point_fn(c, y, delta, d, design, pi, kdy)`` returns
+    ``(mu1, mu0, ok)``, the means for the rows it accepts. Degenerate
+    resamples are skipped and counted in ``notes``; fewer than 20 usable ones
+    give NaN.
     """
+    n = data.n
+    order = np.argsort(y, kind="stable")
+    y, delta, d = y[order], delta[order], d[order]
+    design = _Design(np.column_stack((np.ones(n), data.x[order])))
+    arms = []
+    for arm in (0, 1):
+        rows = np.flatnonzero(d == arm)
+        censored = delta[rows] == 0
+        # each row's left limit sits after the censoring times below its y
+        slot = np.searchsorted(np.unique(y[rows][censored]), y[rows])
+        arms.append((rows, y[rows], censored, slot, floors[arm]))
+
+    def replicates(counts):
+        n1 = counts @ d
+        counts = counts[(n1 > 0) & (n1 < n)]
+        kdy = np.empty(counts.shape)
+        for rows, y_arm, censored, slot, floor in arms:
+            left = _product_limit(y_arm, censored, counts[:, rows], floor)[2]
+            kdy[:, rows] = left[:, slot]
+        pi = _propensity(design, d, counts, clip)[0]
+        mu1, mu0, _ = point_fn(counts, y, delta, d, design, pi, kdy)
+        return mu1 - mu0
+
+    block = max(1, _BLOCK_FLOATS // max(n, design.x.shape[1] ** 2))
     rng = np.random.default_rng(np.random.SeedSequence(stream))
     boots = []
-    failures = 0
-    for _ in range(n_boot):
-        idx = rng.integers(0, data.n, data.n)
+    for start in range(0, n_boot, block):
+        counts = np.empty((min(block, n_boot - start), n))
+        for row in counts:
+            row[:] = np.bincount(rng.integers(0, n, n), minlength=n)
+        counts = counts[:, order]
         try:
-            yb, db, deltab, xb = y[idx], d[idx], delta[idx], data.x[idx]
-            k1b = CensorSurvival.fit(yb[db == 1], deltab[db == 1], floor=floor)
-            k0b = CensorSurvival.fit(yb[db == 0], deltab[db == 0], floor=floor)
-            pib, _ = _naive_propensity(xb, db, clip)
-            m1b, m0b = point_fn(
-                yb, deltab, db, xb, pib, k1b.evaluate(yb), k0b.evaluate(yb)
-            )
-            boots.append(m1b - m0b)
-        except (DegenerateArmError, np.linalg.LinAlgError):
-            failures += 1
+            boots.append(replicates(counts))
+        except np.linalg.LinAlgError:
+            for row in counts:
+                try:
+                    boots.append(replicates(row[None]))
+                except np.linalg.LinAlgError:
+                    pass
+    boots = np.concatenate(boots) if boots else np.empty(0)
+    failures = n_boot - boots.size
     if failures:
         notes.append(f"{failures} of {n_boot} bootstrap resamples were degenerate")
-    if len(boots) < 20:
+    if boots.size < 20:
         return float("nan"), (float("nan"), float("nan"))
-    se = float(np.asarray(boots, dtype=float).std(ddof=1))
+    se = float(boots.std(ddof=1))
     z = float(ndtri(0.5 + level / 2.0))
     return se, (ate - z * se, ate + z * se)
 
@@ -162,16 +296,14 @@ def fit_naive_ipw(
     pi, clean = _naive_propensity(data.x, d, clip)
     if not clean:
         notes.append("separation detected; propensity refit with ridge 1e-2")
-    mu1, mu0, w1, w0 = _ipw_point(y, delta, d, pi, k1y, k0y)
+    w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)
+    mu1, mu0 = _hajek_means(y, w1, w0)
     ate = mu1 - mu0
 
     se, (lo, hi) = _bootstrap(
-        data, y, delta, d,
-        lambda yb, deltab, db, xb, pib, k1yb, k0yb: _ipw_point(
-            yb, deltab, db, pib, k1yb, k0yb
-        )[:2],
-        ate=ate, level=level, clip=clip, floor=k1.floor, n_boot=n_boot,
-        stream=(seed, 0x1F), notes=notes,
+        data, y, delta, d, _ipw_means,
+        ate=ate, level=level, clip=clip, floors=(k0.floor, k1.floor),
+        n_boot=n_boot, stream=(seed, 0x1F), notes=notes,
     )
     med1, med0 = _medians_from_pi(y, d, pi)
     return ATEResult(
@@ -194,42 +326,6 @@ def fit_cbps_unpenalized(
         raise InputError("unpenalized balancing needs p + 2 <= n")
     fit = fit_pel(data, k1, k0, scad=None, opts=FitOptions(clip=clip))
     return ate_with_ci(data, fit, k1, k0, level=level)
-
-
-def _wls_outcome(xmat, resp, ridge_floor=1e-10):
-    """Least squares with a ridge fallback on rank deficiency."""
-    gram = xmat.T @ xmat
-    rhs = xmat.T @ resp
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        ridge = max(1e-6 * float(np.trace(gram)), ridge_floor)
-        gram = gram + ridge * np.eye(gram.shape[0])
-        _warnings.warn(
-            "outcome regression was rank deficient; ridge added", RuntimeWarning
-        )
-        return np.linalg.solve(gram, rhs)
-
-
-def _aipw_point(y, delta, d, x, pi, k1y, k0y, outcome_model):
-    kdy = np.where(d == 1, k1y, k0y)
-    ytil = delta * y / kdy
-    n = y.shape[0]
-    xmat = np.column_stack((np.ones(n), x))
-    if outcome_model == "zero":
-        m1 = np.zeros(n)
-        m0 = np.zeros(n)
-    else:
-        treated = d == 1
-        if treated.sum() < 2 or (~treated).sum() < 2:
-            raise DegenerateArmError("an arm is too small for outcome regression")
-        coef1 = _wls_outcome(xmat[treated], ytil[treated])
-        coef0 = _wls_outcome(xmat[~treated], ytil[~treated])
-        m1 = xmat @ coef1
-        m0 = xmat @ coef0
-    mu1 = float(np.mean(m1 + d * (ytil - m1) / pi))
-    mu0 = float(np.mean(m0 + (1.0 - d) * (ytil - m0) / (1.0 - pi)))
-    return mu1, mu0
 
 
 def fit_aipw(
@@ -255,19 +351,26 @@ def fit_aipw(
     pi, clean = _naive_propensity(data.x, d, clip)
     if not clean:
         notes.append("separation detected; propensity refit with ridge 1e-2")
+    point = partial(_aipw_means, outcome_model=outcome_model)
+    design = _Design(np.column_stack((np.ones(data.n), data.x)))
+    kdy = np.where(d == 1, k1y, k0y)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        mu1, mu0 = _aipw_point(y, delta, d, data.x, pi, k1y, k0y, outcome_model)
+        mu1, mu0, ok = point(
+            np.ones((1, data.n)), y, delta, d, design, pi[None], kdy[None]
+        )
     notes.extend(str(w.message) for w in caught)
+    if not ok[0]:
+        raise DegenerateArmError("an arm is too small for outcome regression")
+    mu1, mu0 = float(mu1[0]), float(mu0[0])
     ate = mu1 - mu0
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         se, (lo, hi) = _bootstrap(
-            data, y, delta, d,
-            lambda *resample: _aipw_point(*resample, outcome_model),
-            ate=ate, level=level, clip=clip, floor=k1.floor, n_boot=n_boot,
-            stream=(seed, 0x2F), notes=notes,
+            data, y, delta, d, point,
+            ate=ate, level=level, clip=clip, floors=(k0.floor, k1.floor),
+            n_boot=n_boot, stream=(seed, 0x2F), notes=notes,
         )
     med1, med0 = _medians_from_pi(y, d, pi)
     w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)

@@ -8,11 +8,16 @@ censoring event at the same time are resolved by letting the outcome event
 happen first, so a ``delta == 1`` subject at time t is not at risk for a
 censoring event at t.
 
-The counts come from one sort and binary searches, O(n log n) per fit: the
-censoring events at t_k are counted by ``np.unique`` on the censored times,
-and #{y > t_k} is n minus the number of sorted y at or below t_k. The risk set
-at t_k is that count plus the censoring events at t_k. Every count is an exact
-integer, so the curve equals the one formed by scanning all rows per t_k.
+``_product_limit`` is the one implementation: one sort, then O(n) per curve.
+It takes rows sorted by time and a row of integer counts per curve (how many
+times each row enters it, 0 for rows outside the arm). Running sums of the
+counts give, at each censoring time t, the censoring events at t and the
+count with y > t; the risk set is that count plus the events. A censoring
+time without events in a curve contributes a factor of exactly 1.0. Every
+count is an exact integer, so the values equal those formed by scanning
+repeated rows once per event time. ``CensorSurvival.fit`` is the one-curve
+case with every count 1; the bootstrap baselines pass a block of resample
+counts.
 
 Curves are evaluated with the left limit K(u) = prod_{t_k < u} (1 - d_k/n_k)
 (strict inequality) and clamped below at a configurable floor so that
@@ -75,14 +80,11 @@ class CensorSurvival:
             raise InputError("y must be finite and nonnegative")
         if not np.all(np.isin(delta, (0, 1))):
             raise InputError("delta must contain only 0 or 1")
-        cens_times, d_k = np.unique(y[delta == 0], return_counts=True)
-        if cens_times.size == 0:
-            return cls(times=np.empty(0), values=np.empty(0), floor=floor)
-        # Risk set = {y > t} plus censored rows at t, outcome events at t
-        # having already left.
-        n_k = y.size - np.searchsorted(np.sort(y), cens_times, side="right") + d_k
-        surv = np.cumprod(1.0 - d_k / n_k)
-        return cls(times=cens_times, values=np.maximum(surv, floor), floor=floor)
+        order = np.argsort(y)
+        times, _, left = _product_limit(
+            y[order], delta[order] == 0, np.ones((1, y.size), dtype=np.int64), floor
+        )
+        return cls(times=times, values=left[0, 1:], floor=floor)
 
     def evaluate(self, u):
         """K at u (scalar or array), using the left limit at jump times."""
@@ -95,6 +97,33 @@ class CensorSurvival:
         if out.ndim == 0:
             return float(out)
         return out
+
+
+def _product_limit(y, censored, counts, floor):
+    """Censoring product-limit curves of one arm, one per row of ``counts``.
+
+    ``y`` holds the rows' times in nondecreasing order, ``censored`` marks the
+    censoring events among them, and ``counts[b, i]`` (whole numbers, int or
+    float) is how often row i enters curve b. Returns ``(times, events, left)``:
+    the m distinct censoring times of the rows, the (B, m) event counts at
+    each, and the (B, m + 1) clamped curves, where ``left[:, j]`` is the left
+    limit at ``times[j]`` and ``left[:, j + 1]`` the value just after it.
+    A time whose count is 0 in curve b contributes a factor of exactly 1.0.
+    """
+    times = np.unique(y[censored])
+    last = np.searchsorted(y, times, side="right") - 1
+    upto = np.cumsum(counts, axis=1)[:, last]
+    # No censored row lies between consecutive censoring times.
+    events = np.diff(np.cumsum(counts * censored, axis=1)[:, last], axis=1, prepend=0)
+    # Risk set = {y > t} plus the censoring events at t, outcome events at t
+    # having already left.
+    beyond = np.sum(counts, axis=1, keepdims=True) - upto
+    hazard = np.divide(
+        events, beyond + events, out=np.zeros(events.shape), where=events > 0
+    )
+    left = np.ones((counts.shape[0], times.size + 1))
+    left[:, 1:] = np.maximum(np.cumprod(1.0 - hazard, axis=1), floor)
+    return times, events, left
 
 
 def fit_censoring_km(data: Dataset, group: int, floor: float = 0.05) -> CensorSurvival:

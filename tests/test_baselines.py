@@ -1,17 +1,148 @@
 import numpy as np
 import pytest
+from scipy.special import expit, ndtri
 
 import survcbps as sc
 from survcbps.baselines import (
     BaselineSpec,
+    _Design,
     fit_aipw,
     fit_cbps_unpenalized,
     fit_naive_ipw,
     run_baseline,
 )
-from survcbps.inference import ate_with_ci
+from survcbps.censoring import CensorSurvival
+from survcbps.inference import _hajek_means, _ipcw_weight_arrays, ate_with_ci
 from survcbps.solver import FitOptions, fit_pel
 from tests.conftest import small_dataset
+
+
+# Reference bootstrap: one resampled copy per resample, refitted from
+# scratch. The package runs the same resamples as rows of counts in blocks.
+
+
+def reference_logistic(xmat, d, ridge=1e-6, max_iter=100, tol=1e-10):
+    n, q = xmat.shape
+    beta = np.zeros(q)
+    converged = False
+    for _ in range(max_iter):
+        prob = expit(xmat @ beta)
+        grad = xmat.T @ (d - prob) - ridge * beta
+        w = prob * (1.0 - prob) + 1e-12
+        hess = xmat.T @ (w[:, None] * xmat)
+        hess[np.diag_indices_from(hess)] += ridge + 1e-12
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        beta = beta + step
+        if np.max(np.abs(step)) <= tol:
+            converged = True
+            break
+    clean = (
+        converged
+        and np.all(np.isfinite(beta))
+        and np.max(np.abs(xmat @ beta)) <= 30
+    )
+    return beta, bool(clean)
+
+
+def reference_propensity(x, d, clip):
+    xmat = np.column_stack((np.ones(x.shape[0]), x))
+    coef, clean = reference_logistic(xmat, d)
+    if not clean:
+        coef, _ = reference_logistic(xmat, d, ridge=1e-2)
+    return np.clip(expit(xmat @ coef), clip, 1.0 - clip), clean
+
+
+def reference_ipw(y, delta, d, x, pi, k1y, k0y):
+    return _hajek_means(y, *_ipcw_weight_arrays(y, delta, d, pi, k1y, k0y))
+
+
+def reference_wls(xmat, resp):
+    gram = xmat.T @ xmat
+    rhs = xmat.T @ resp
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        ridge = max(1e-6 * float(np.trace(gram)), 1e-10)
+        return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
+
+
+def reference_aipw(y, delta, d, x, pi, k1y, k0y):
+    ytil = delta * y / np.where(d == 1, k1y, k0y)
+    xmat = np.column_stack((np.ones(y.shape[0]), x))
+    treated = d == 1
+    if treated.sum() < 2 or (~treated).sum() < 2:
+        raise sc.DegenerateArmError("an arm is too small for outcome regression")
+    m1 = xmat @ reference_wls(xmat[treated], ytil[treated])
+    m0 = xmat @ reference_wls(xmat[~treated], ytil[~treated])
+    return (
+        float(np.mean(m1 + d * (ytil - m1) / pi)),
+        float(np.mean(m0 + (1.0 - d) * (ytil - m0) / (1.0 - pi))),
+    )
+
+
+def reference_bootstrap(data, k1, k0, point, stream, n_boot, clip=0.01):
+    """Replicates, degenerate count and ridge refits of the per-resample loop."""
+    rng = np.random.default_rng(np.random.SeedSequence(stream))
+    y, delta, d = data.y, data.delta.astype(float), data.d.astype(float)
+    boots, failures, refits = [], 0, 0
+    for _ in range(n_boot):
+        idx = rng.integers(0, data.n, data.n)
+        yb, db, deltab, xb = y[idx], d[idx], delta[idx], data.x[idx]
+        try:
+            k1b = CensorSurvival.fit(yb[db == 1], deltab[db == 1], floor=k1.floor)
+            k0b = CensorSurvival.fit(yb[db == 0], deltab[db == 0], floor=k0.floor)
+            pib, clean = reference_propensity(xb, db, clip)
+            refits += not clean
+            m1, m0 = point(
+                yb, deltab, db, xb, pib, k1b.evaluate(yb), k0b.evaluate(yb)
+            )
+            boots.append(m1 - m0)
+        except (sc.DegenerateArmError, np.linalg.LinAlgError):
+            failures += 1
+    return boots, failures, refits
+
+
+def assert_matches_reference(res, boots, failures, n_boot):
+    notes = [w for w in res.warnings if "bootstrap resamples" in w]
+    expected = f"{failures} of {n_boot} bootstrap resamples were degenerate"
+    assert notes == ([expected] if failures else [])
+    if len(boots) < 20:
+        assert np.isnan(res.se) and np.isnan(res.ci_low) and np.isnan(res.ci_high)
+        return
+    se = float(np.std(boots, ddof=1))
+    z = float(ndtri(0.975))
+    assert res.se == pytest.approx(se, rel=1e-10)
+    assert res.ci_low == pytest.approx(res.ate - z * se, rel=1e-10)
+    assert res.ci_high == pytest.approx(res.ate + z * se, rel=1e-10)
+
+
+def near_separation_data():
+    rng = np.random.default_rng(55)
+    n = 50
+    x = rng.standard_normal((n, 1)) * 4.0
+    d = (x[:, 0] > 0).astype(int)  # perfectly separated treatment
+    d[0] = 1 - d[0]  # one crossover keeps both arms overlapping a little
+    t = rng.exponential(2.0, n)
+    c = rng.exponential(8.0, n)
+    return sc.Dataset(
+        y=np.minimum(t, c), delta=(t <= c).astype(int), d=d, x=x
+    )
+
+
+def tiny_data():
+    """n = 12 with 3 treated rows, so some resamples lose the treated arm.
+
+    The covariate is zero, which makes every outcome regression exactly
+    singular and sends it to the ridge fallback on both sides. With a
+    varying covariate, a resample whose arm holds copies of one row has a
+    rank-1 normal matrix whose exact singularity, and so its fit, turns on
+    the last bit of its summed entries.
+    """
+    data = small_dataset(seed=4, n=12, p=1)
+    return sc.Dataset(y=data.y, delta=data.delta, d=data.d, x=np.zeros((12, 1)))
 
 
 @pytest.fixture(scope="module")
@@ -120,18 +251,70 @@ def test_run_baseline_dispatch(arms):
 
 
 def test_naive_ipw_handles_near_separation():
-    rng = np.random.default_rng(55)
-    n = 50
-    x = rng.standard_normal((n, 1)) * 4.0
-    d = (x[:, 0] > 0).astype(int)  # perfectly separated treatment
-    d[0] = 1 - d[0]  # one crossover keeps both arms overlapping a little
-    t = rng.exponential(2.0, n)
-    c = rng.exponential(8.0, n)
-    y = np.minimum(t, c)
-    delta = (t <= c).astype(int)
-    data = sc.Dataset(y=y, delta=delta, d=d, x=x)
+    data = near_separation_data()
     k1 = sc.fit_censoring_km(data, 1)
     k0 = sc.fit_censoring_km(data, 0)
     res = fit_naive_ipw(data, k1, k0, n_boot=30, seed=4)
     assert np.isfinite(res.ate)
     assert np.isfinite(res.mu1) and np.isfinite(res.mu0)
+
+
+@pytest.mark.parametrize(
+    "name, n_boot",
+    [("arms", 200), ("separation", 200), ("tiny", 200), ("tiny", 22),
+     ("wide", 25)],
+)
+@pytest.mark.parametrize("estimator", ["naive_ipw", "aipw"])
+def test_bootstrap_matches_per_resample_loop(arms, name, n_boot, estimator):
+    data = {
+        "arms": lambda: arms[0],
+        "separation": near_separation_data,
+        "tiny": tiny_data,
+        # n q > 2^16: the Gram products go one resample at a time
+        "wide": lambda: small_dataset(seed=21, n=2200, p=30),
+    }[name]()
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    if estimator == "naive_ipw":
+        res = fit_naive_ipw(data, k1, k0, n_boot=n_boot, seed=5)
+        point, stream = reference_ipw, (5, 0x1F)
+    else:
+        res = fit_aipw(data, k1, k0, n_boot=n_boot, seed=5)
+        point, stream = reference_aipw, (5, 0x2F)
+    boots, failures, refits = reference_bootstrap(
+        data, k1, k0, point, stream, n_boot
+    )
+    assert_matches_reference(res, boots, failures, n_boot)
+    if name == "separation":
+        assert refits > 0
+    if name == "tiny":
+        assert failures > 0
+        assert (len(boots) < 20) == (n_boot == 22)
+
+
+def test_bootstrap_uses_each_arms_floor(arms):
+    """The control curve is refitted at k0's floor, not at k1's."""
+    data = arms[0]
+    k1 = sc.fit_censoring_km(data, 1, floor=0.05)
+    k0 = sc.fit_censoring_km(data, 0, floor=0.3)
+    assert k0.values.min() == 0.3
+    for fit, point, stream in (
+        (fit_naive_ipw, reference_ipw, (5, 0x1F)),
+        (fit_aipw, reference_aipw, (5, 0x2F)),
+    ):
+        res = fit(data, k1, k0, n_boot=200, seed=5)
+        boots, failures, _ = reference_bootstrap(data, k1, k0, point, stream, 200)
+        assert_matches_reference(res, boots, failures, 200)
+
+
+@pytest.mark.parametrize("n, q", [(40, 3), (2200, 31)])
+def test_design_gram_both_layouts(n, q):
+    """Outer-product and per-row Gram stacks equal the explicit products."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, q))
+    w = rng.integers(0, 3, (4, n)).astype(float)
+    design = _Design(x)
+    assert (design._outer is None) == (n * q > 2 ** 16)
+    expected = np.einsum("ni,bn,nj->bij", x, w, x)
+    np.testing.assert_allclose(design.gram(w), expected, rtol=1e-12, atol=1e-9)
+    assert design.gram(w[:0]).shape == (0, q, q)

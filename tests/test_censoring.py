@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import survcbps as sc
-from survcbps.censoring import CensorSurvival
+from survcbps.censoring import CensorSurvival, _product_limit
 
 
 def brute_force_censor_survival(y, delta, u):
@@ -99,6 +99,45 @@ def test_scan_oracle_bit_exact(ties):
             np.testing.assert_array_equal(curve.values, values)
             clamped += int(np.sum(values == floor))
     assert clamped > 0
+
+
+@pytest.mark.parametrize("ties", [True, False])
+def test_counts_kernel_equals_fit_on_repeated_rows(ties):
+    """Row counts give bit for bit the curve of the rows repeated that often.
+
+    Checks the jump times, the values after them and the left limit read
+    at every row through its time's index, for integer and float counts.
+    """
+    rng = np.random.default_rng(41)
+    compared = 0
+    for n in (1, 2, 5, 30, 200, 1500):
+        if ties:
+            y = np.sort(rng.integers(0, max(2, n // 4), n).astype(float))
+        else:
+            y = np.sort(rng.exponential(2.0, n))
+        censored = rng.random(n) < 0.4
+        counts = rng.integers(0, 4, (5, n))
+        counts[0] = 0
+        counts[1] = 1
+        for floor in (1e-12, 0.05, 0.6):
+            for c_all in (counts, counts.astype(float)):
+                times, events, left = _product_limit(y, censored, c_all, floor)
+                np.testing.assert_array_equal(times, np.unique(y[censored]))
+                slot = np.searchsorted(times, y)
+                np.testing.assert_array_equal(left[0], 1.0)
+                for c, ev, lf in zip(counts[1:], events[1:], left[1:]):
+                    if c.sum() == 0:
+                        continue
+                    ref = CensorSurvival.fit(
+                        np.repeat(y, c), np.repeat(~censored, c).astype(int),
+                        floor=floor,
+                    )
+                    jump = ev > 0
+                    np.testing.assert_array_equal(times[jump], ref.times)
+                    np.testing.assert_array_equal(lf[1:][jump], ref.values)
+                    np.testing.assert_array_equal(lf[slot], ref.evaluate(y))
+                    compared += 1
+    assert compared > 100
 
 
 def test_floor_clamps_small_values():
