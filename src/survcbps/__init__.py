@@ -15,7 +15,7 @@ from .baselines import (
     run_baseline,
 )
 from .censoring import CensorSurvival, fit_censoring_km
-from .data import Dataset, ObservedRecord, SummaryStats, parse_csv, summarize, write_csv
+from .data import Dataset, SummaryStats, parse_csv, summarize, write_csv
 from .errors import (
     ConfigError,
     DegenerateArmError,
@@ -35,7 +35,7 @@ from .inference import (
     normalized_weights,
     weighted_median,
 )
-from .moments import GValue, PropensityParams, g_value, jacobian_g, propensity, stack_g
+from .moments import PropensityParams, jacobian_g, propensity, stack_g
 from .scad import ScadParams, lqa_weight, scad_derivative, scad_value
 from .simulation import (
     SimConfig,
@@ -69,9 +69,7 @@ __all__ = [
     "DumpFormatError",
     "FitError",
     "FitOptions",
-    "GValue",
     "InputError",
-    "ObservedRecord",
     "PELFit",
     "PropensityParams",
     "RowParseError",
@@ -91,7 +89,6 @@ __all__ = [
     "fit_naive_ipw",
     "fit_pel",
     "fit_censoring_km",
-    "g_value",
     "generate_dataset",
     "ipcw_ipw_means",
     "jacobian_g",

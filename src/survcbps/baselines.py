@@ -185,6 +185,24 @@ def _ridged(gram, rhs):
     return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
 
 
+def _outcome_coef(design, ca, ytil):
+    """Least squares of ``ytil`` on ``design.x``, one fit per row of counts ``ca``.
+
+    A fit that counts fewer rows than columns is rank deficient and takes
+    ``_ridged`` directly, so its rank decides the fallback, not whether LU
+    meets an exact zero pivot.
+    """
+    x = design.x
+    gram, rhs = design.gram(ca), (ca * ytil) @ x
+    short = np.count_nonzero(ca, axis=1) < x.shape[1]
+    coef = np.empty(rhs.shape)
+    for k in np.flatnonzero(short):
+        coef[k] = _ridged(gram[k], rhs[k])
+    if not short.all():
+        coef[~short] = _solve(gram[~short], rhs[~short], _ridged)
+    return coef
+
+
 def _aipw_means(c, y, delta, d, design, pi, kdy, outcome_model):
     """Count-weighted AIPW means; ``ok`` is False where an arm has < 2 rows."""
     ytil = delta * y / kdy
@@ -197,8 +215,7 @@ def _aipw_means(c, y, delta, d, design, pi, kdy, outcome_model):
         c, ytil, pi = c[ok], ytil[ok], pi[ok]
         x = design.x
         m1, m0 = (
-            _solve(design.gram(ca), (ca * ytil) @ x, _ridged) @ x.T
-            for ca in (c * d, c * (1.0 - d))
+            _outcome_coef(design, ca, ytil) @ x.T for ca in (c * d, c * (1.0 - d))
         )
     n = y.shape[0]
     mu1 = (c * (m1 + d * (ytil - m1) / pi)).sum(axis=1) / n

@@ -3,8 +3,7 @@
 A dataset holds, for each subject, the follow-up time ``y`` (minimum of the
 event time and the censoring time), the event indicator ``delta`` (1 when the
 event was observed, 0 when censored), the binary treatment ``d`` and a row of
-covariates ``x``. Columns are kept as numpy arrays; a per-row record view is
-available for convenience.
+covariates ``x``. Columns are kept as numpy arrays.
 """
 
 from __future__ import annotations
@@ -18,16 +17,6 @@ import numpy as np
 from .errors import DegenerateArmError, InputError, RowParseError, SchemaError
 
 _DEFAULT_CORE = ("y", "delta", "d")
-
-
-@dataclass(frozen=True)
-class ObservedRecord:
-    """One subject: (y, delta, d, x)."""
-
-    y: float
-    delta: int
-    d: int
-    x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,16 +96,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-    def record(self, i: int) -> ObservedRecord:
-        return ObservedRecord(
-            y=float(self.y[i]), delta=int(self.delta[i]),
-            d=int(self.d[i]), x=self.x[i],
-        )
-
-    @property
-    def records(self):
-        return tuple(self.record(i) for i in range(self.n))
 
 
 def summarize(data: Dataset) -> SummaryStats:

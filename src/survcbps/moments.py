@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .censoring import CensorSurvival
-from .data import Dataset, ObservedRecord
+from .data import Dataset
 from .errors import InputError
 
 
@@ -45,21 +45,6 @@ class PropensityParams:
         beta.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class GValue:
-    """Stacked moment value for a single record."""
-
-    balance: np.ndarray
-    cal_treated: float
-    cal_control: float
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate(
-            (self.balance, [self.cal_treated], [self.cal_control])
-        )
-
-
 def propensity(params: PropensityParams, x):
     """Clipped logistic propensity; x is one covariate vector or a matrix."""
     x = np.asarray(x, dtype=float)
@@ -68,38 +53,6 @@ def propensity(params: PropensityParams, x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def g_balance(params: PropensityParams, record: ObservedRecord) -> np.ndarray:
-    pi = propensity(params, record.x)
-    return (record.d / pi - (1 - record.d) / (1.0 - pi)) * record.x
-
-
-def g_censor(
-    params: PropensityParams,
-    record: ObservedRecord,
-    k1: CensorSurvival,
-    k0: CensorSurvival,
-):
-    """The two calibration components for one record."""
-    pi = propensity(params, record.x)
-    k1y = k1.evaluate(record.y)
-    k0y = k0.evaluate(record.y)
-    cal1 = record.d * record.delta / (pi * k1y) - 1.0
-    cal0 = (1 - record.d) * record.delta / ((1.0 - pi) * k0y) - 1.0
-    return float(cal1), float(cal0)
-
-
-def g_value(
-    params: PropensityParams,
-    record: ObservedRecord,
-    k1: CensorSurvival,
-    k0: CensorSurvival,
-) -> GValue:
-    cal1, cal0 = g_censor(params, record, k1, k0)
-    return GValue(
-        balance=g_balance(params, record), cal_treated=cal1, cal_control=cal0
-    )
 
 
 def _row_pieces(beta, clip, x, d, delta, k1y, k0y):
@@ -128,32 +81,54 @@ def _row_pieces(beta, clip, x, d, delta, k1y, k0y):
     return pi, a, cal1, cal0, b, dc1, dc0
 
 
-def _gmat_arrays(beta, clip, x, d, delta, k1y, k0y):
-    """n x (p + 2) stacked moment matrix from raw arrays."""
-    _, a, cal1, cal0, _, _, _ = _row_pieces(beta, clip, x, d, delta, k1y, k0y)
-    return np.concatenate(
-        (a[:, None] * x, cal1[:, None], cal0[:, None]), axis=1
-    )
+def _gmat_and_slopes(beta, clip, x, d, delta, k1y, k0y):
+    """The n x (p + 2) stacked moment matrix and the slopes (b, dc1, dc0).
+
+    One pass over the rows serves the matrix, the mean Jacobian and the
+    profile gradient at the same beta.
+    """
+    _, a, cal1, cal0, b, dc1, dc0 = _row_pieces(beta, clip, x, d, delta, k1y, k0y)
+    n, p = x.shape
+    gmat = np.empty((n, p + 2))
+    np.multiply(a[:, None], x, out=gmat[:, :p])
+    gmat[:, p] = cal1
+    gmat[:, p + 1] = cal0
+    return gmat, (b, dc1, dc0)
 
 
-def _mean_jacobian_arrays(beta, clip, x, d, delta, k1y, k0y):
-    """(p + 2) x p Jacobian of the column means of the stacked matrix."""
-    n = x.shape[0]
-    _, _, _, _, b, dc1, dc0 = _row_pieces(beta, clip, x, d, delta, k1y, k0y)
-    top = (x * b[:, None]).T @ x / n
-    row1 = dc1 @ x / n
-    row0 = dc0 @ x / n
-    return np.vstack((top, row1, row0))
+def _weighted_gram(x, w):
+    """x' diag(w) x for w >= 0, formed as h'h with h = sqrt(w) x.
+
+    numpy hands h.T @ h to BLAS syrk, which computes one triangle and
+    mirrors it: less work than a general product, and exactly symmetric.
+    """
+    h = np.sqrt(w)[:, None] * x
+    return h.T @ h
 
 
-def _profile_grad_arrays(beta, clip, x, d, delta, k1y, k0y, lam, row_scale):
+def _mean_jacobian(x, slopes):
+    """(p + 2) x p Jacobian of the column means of the stacked matrix.
+
+    The balance block is X' diag(b) X / n with b <= 0 by construction.
+    """
+    b, dc1, dc0 = slopes
+    n, p = x.shape
+    jac = np.empty((p + 2, p))
+    jac[:p] = _weighted_gram(x, -b)
+    jac[:p] /= -n
+    jac[p] = dc1 @ x / n
+    jac[p + 1] = dc0 @ x / n
+    return jac
+
+
+def _profile_grad(x, slopes, lam, row_scale):
     """sum_i row_scale_i * J_i' lam, the chain-rule gradient in beta.
 
     J_i' lam collapses to a scalar multiple of x_i because every moment
     component depends on beta only through x_i' beta.
     """
+    b, dc1, dc0 = slopes
     p = x.shape[1]
-    _, _, _, _, b, dc1, dc0 = _row_pieces(beta, clip, x, d, delta, k1y, k0y)
     coeff = b * (x @ lam[:p]) + dc1 * lam[p] + dc0 * lam[p + 1]
     return x.T @ (row_scale * coeff)
 
@@ -172,10 +147,10 @@ def stack_g(
     if params.beta.shape[0] != data.p:
         raise InputError("beta length must equal the number of covariates")
     k1y, k0y = _k_vectors(data, k1, k0)
-    return _gmat_arrays(
+    return _gmat_and_slopes(
         params.beta, params.clip, data.x, data.d.astype(float),
         data.delta.astype(float), k1y, k0y,
-    )
+    )[0]
 
 
 def jacobian_g(
@@ -188,7 +163,8 @@ def jacobian_g(
     if params.beta.shape[0] != data.p:
         raise InputError("beta length must equal the number of covariates")
     k1y, k0y = _k_vectors(data, k1, k0)
-    return _mean_jacobian_arrays(
+    slopes = _row_pieces(
         params.beta, params.clip, data.x, data.d.astype(float),
         data.delta.astype(float), k1y, k0y,
-    )
+    )[4:]
+    return _mean_jacobian(data.x, slopes)

@@ -29,6 +29,18 @@ converged once an accepted step moves no coefficient by more than outer_tol,
 and ends unconverged when 40 halvings find no decrease elsewhere or
 max_outer steps run out.
 
+Each Newton step of the inner problem forms its Hessian g' diag(-log*'') g
+as one symmetric product and g' direction once, so every halving of its
+line search costs O(n). One pass over the rows at each beta gives the
+moment matrix and the slopes from which the outer step's profile gradient
+and Jacobian follow.
+
+Along a penalty path, select_tau starts each fit at the previous fit's beta
+and dual vector (FitOptions.beta_init and lambda_init), where the first
+inner problem is already solved, so it costs at most a Newton step. The
+beta = 0 fallback starts the dual cold: its outcome does not depend on
+tau.
+
 Covariates are rescaled internally to unit variance so the penalty acts on
 comparable coordinates; estimates are mapped back to the original scale.
 Columns are not centered: the propensity model has no intercept, and
@@ -48,9 +60,10 @@ from .data import Dataset
 from .errors import FitError, InputError, SelectionError
 from .moments import (
     PropensityParams,
-    _gmat_arrays,
-    _mean_jacobian_arrays,
-    _profile_grad_arrays,
+    _gmat_and_slopes,
+    _mean_jacobian,
+    _profile_grad,
+    _weighted_gram,
 )
 from .scad import ScadParams, lqa_weight, scad_value
 
@@ -78,6 +91,9 @@ class FitOptions:
     standardize: bool = True
     init_ridge: float = 1e-4
     beta_init: np.ndarray | None = None
+    # dual warm start for the first inner solve, in the original covariate
+    # scale of PELFit.dual.lam
+    lambda_init: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -155,7 +171,8 @@ def solve_inner_dual(
     for _ in range(max_iter):
         if gnorm <= tol:
             break
-        a_mat = -(g.T @ (d2[:, None] * g))
+        # -log*'' is 1/z^2 or 1/eps^2, positive on both branches
+        a_mat = _weighted_gram(g, -d2)
         ridge = 1e-12 * (1.0 + np.trace(a_mat) / m)
         a_mat[np.diag_indices_from(a_mat)] += ridge
         try:
@@ -172,14 +189,14 @@ def solve_inner_dual(
         if 0.5 * slope <= 8.0 * np.finfo(float).eps * (1.0 + abs(val)):
             stalled = True
             break
+        gdir = g @ direction
         step = 1.0
         improved = False
         for _ in range(60):
-            cand = lam + step * direction
-            zc = 1.0 + g @ cand
+            zc = z + step * gdir
             vc = float(np.sum(_logstar(zc, eps)))
             if vc >= val + 1e-4 * step * slope:
-                lam, z, val = cand, zc, vc
+                lam, z, val = lam + step * direction, zc, vc
                 improved = True
                 break
             step *= 0.5
@@ -228,21 +245,17 @@ class _Workspace:
             self.scales = np.ones(self.p)
         self.x = data.x / self.scales
 
-    def gmat(self, beta):
-        return _gmat_arrays(
+    def moments(self, beta):
+        """(gmat, slopes) at beta; the slopes feed mean_jac and profile_grad."""
+        return _gmat_and_slopes(
             beta, self.clip, self.x, self.dvec, self.delta, self.k1y, self.k0y
         )
 
-    def mean_jac(self, beta):
-        return _mean_jacobian_arrays(
-            beta, self.clip, self.x, self.dvec, self.delta, self.k1y, self.k0y
-        )
+    def mean_jac(self, slopes):
+        return _mean_jacobian(self.x, slopes)
 
-    def profile_grad(self, beta, lam, row_scale):
-        return _profile_grad_arrays(
-            beta, self.clip, self.x, self.dvec, self.delta,
-            self.k1y, self.k0y, lam, row_scale,
-        )
+    def profile_grad(self, slopes, lam, row_scale):
+        return _profile_grad(self.x, slopes, lam, row_scale)
 
 
 def _penalty_total(beta, scad, n):
@@ -252,14 +265,15 @@ def _penalty_total(beta, scad, n):
 
 
 def _q_eval(ws: _Workspace, beta, scad, opts: FitOptions, lam_init):
-    """(Q, dual state, gmat); Q is +inf when the inner solve fails."""
-    gm = ws.gmat(beta)
+    """(Q, dual state, gmat, slopes); Q is +inf when the inner solve fails."""
+    gm, slopes = ws.moments(beta)
     state = solve_inner_dual(
         gm, lam_init, tol=opts.inner_tol, max_iter=opts.inner_max_iter
     )
     if not state.converged:
-        return math.inf, state, gm
-    return state.inner_objective + _penalty_total(beta, scad, ws.n), state, gm
+        return math.inf, state, gm, slopes
+    q = state.inner_objective + _penalty_total(beta, scad, ws.n)
+    return q, state, gm, slopes
 
 
 def _ridge_logistic(x, d, ridge, max_iter=50, tol=1e-8):
@@ -303,8 +317,7 @@ def pel_objective(
         raise InputError("beta length must equal the number of covariates")
     opts = FitOptions(clip=clip, standardize=False)
     ws = _Workspace(data, k1, k0, opts)
-    q, _, _ = _q_eval(ws, beta, scad, opts, lambda_init)
-    return q
+    return _q_eval(ws, beta, scad, opts, lambda_init)[0]
 
 
 def fit_pel(
@@ -328,10 +341,18 @@ def fit_pel(
     else:
         beta = _ridge_logistic(ws.x, ws.dvec, opts.init_ridge)
 
-    q_cur, state, gm = _q_eval(ws, beta, scad, opts, None)
+    lam_init = None
+    if opts.lambda_init is not None:
+        lam_init = np.array(opts.lambda_init, dtype=float)
+        if lam_init.shape != (p + 2,):
+            raise InputError("lambda_init length must equal p + 2")
+        lam_init[:p] *= ws.scales
+
+    q_cur, state, gm, slopes = _q_eval(ws, beta, scad, opts, lam_init)
     if not math.isfinite(q_cur):
+        # the fallback starts cold, so its failure does not depend on tau
         beta = np.zeros(p)
-        q_cur, state, gm = _q_eval(ws, beta, scad, opts, None)
+        q_cur, state, gm, slopes = _q_eval(ws, beta, scad, opts, None)
         if not math.isfinite(q_cur):
             raise FitError("inner dual did not converge at the initial point")
 
@@ -341,8 +362,8 @@ def fit_pel(
     for outer in range(1, opts.max_outer + 1):
         lam = state.lam
         row_scale = _logstar(1.0 + gm @ lam, 1.0 / n, derivs=True)[1]
-        grad_el = ws.profile_grad(beta, lam, row_scale)
-        jac = ws.mean_jac(beta)
+        grad_el = ws.profile_grad(slopes, lam, row_scale)
+        jac = ws.mean_jac(slopes)
         vhat = gm.T @ gm / n
         vhat[np.diag_indices_from(vhat)] += 1e-10 * (1.0 + np.trace(vhat))
         try:
@@ -379,7 +400,7 @@ def fit_pel(
             cand = beta + step * direction
             if zero_tol > 0.0:
                 cand = np.where(np.abs(cand) < zero_tol, 0.0, cand)
-            q_cand, st_cand, gm_cand = _q_eval(ws, cand, scad, opts, lam)
+            q_cand, st_cand, gm_cand, sl_cand = _q_eval(ws, cand, scad, opts, lam)
             if q_cand < q_cur - 1e-12 * (1.0 + abs(q_cur)):
                 accepted = True
                 break
@@ -390,7 +411,7 @@ def fit_pel(
             converged = stationary
             break
         delta_max = float(np.max(np.abs(cand - beta)))
-        beta, q_cur, state, gm = cand, q_cand, st_cand, gm_cand
+        beta, q_cur, state, gm, slopes = cand, q_cand, st_cand, gm_cand, sl_cand
         trace.append(q_cur)
         if delta_max <= opts.outer_tol:
             converged = True
@@ -432,10 +453,12 @@ def select_tau(
     """Pick the penalty level by the BIC-type criterion.
 
     Score: 2 * (EL term at the fit) + |active set| * log n. Candidates are
-    visited from the largest tau down with warm starts, so equal scores
-    resolve toward the sparser fit and the outcome does not depend on the
-    order of the supplied grid. The path stops at the first failed fit:
-    the best fit so far is returned, or SelectionError raised if none.
+    visited from the largest tau down with warm starts, and a later score
+    replaces the incumbent only when it is lower by more than
+    1e-9 * (1 + |incumbent|). Scores equal up to rounding thus resolve
+    toward the larger tau, and the outcome does not depend on the order of
+    the supplied grid. The path stops at the first failed fit: the best fit
+    so far is returned, or SelectionError raised if none.
     """
     opts = opts or FitOptions()
     if grid is None:
@@ -445,24 +468,24 @@ def select_tau(
         raise InputError("tau grid must be nonempty and positive")
     logn = math.log(data.n)
     best = None
-    warm = opts.beta_init
+    warm, warm_lam = opts.beta_init, opts.lambda_init
     for tau in grid:
         try:
             fit = fit_pel(
                 data, k1, k0, ScadParams(lam=float(tau), a=scad_a),
-                replace(opts, beta_init=warm),
+                replace(opts, beta_init=warm, lambda_init=warm_lam),
             )
         except FitError as exc:
             # fit_pel fails only at its starting points, whose inner dual
-            # does not depend on tau, and warm is left as it was: every
-            # smaller tau would fail the same way
+            # does not depend on tau, and the warm start is left as it was:
+            # every smaller tau would fail the same way
             if best is None:
                 raise SelectionError(
                     f"fit at tau={float(tau):.6g} failed: {exc}"
                 ) from exc
             break
-        warm = fit.beta_hat
+        warm, warm_lam = fit.beta_hat, fit.dual.lam
         score = 2.0 * fit.dual.inner_objective + fit.active_set.size * logn
-        if best is None or score < best[0]:
+        if best is None or score < best[0] - 1e-9 * (1.0 + abs(best[0])):
             best = (score, float(tau), fit)
     return best[1], best[2]

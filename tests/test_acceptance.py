@@ -164,10 +164,10 @@ def test_criterion_02_derivative_checks(check):
     rng = np.random.default_rng(7)
     for _ in range(3):
         beta = rng.uniform(-0.25, 0.25, data.p)
-        gm = ws.gmat(beta)
+        gm, slopes = ws.moments(beta)
         state = sc.solve_inner_dual(gm, tol=1e-12)
         row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / ws.n, derivs=True)[1]
-        grad = ws.profile_grad(beta, state.lam, row_scale)
+        grad = ws.profile_grad(slopes, state.lam, row_scale)
         h = 1e-5
         for j in range(data.p):
             up, dn = beta.copy(), beta.copy()

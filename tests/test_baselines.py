@@ -318,3 +318,45 @@ def test_design_gram_both_layouts(n, q):
     expected = np.einsum("ni,bn,nj->bij", x, w, x)
     np.testing.assert_allclose(design.gram(w), expected, rtol=1e-12, atol=1e-9)
     assert design.gram(w[:0]).shape == (0, q, q)
+
+
+def test_aipw_rank_deficient_arm_takes_the_ridge_fit():
+    """3 treated rows and 201 columns: the treated regression is ridged.
+
+    Without a rank test the fallback turned on whether LU met an exact zero
+    pivot, so the estimate moved with the order of the rows.
+    """
+    base = small_dataset(seed=8, n=400, p=200)
+    d = np.zeros(base.n, dtype=int)
+    d[np.flatnonzero(base.delta == 1)[:3]] = 1
+    data = sc.Dataset(y=base.y, delta=base.delta, d=d, x=base.x)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    res = fit_aipw(data, k1, k0, n_boot=2)
+    assert "outcome regression was rank deficient; ridge added" in res.warnings
+
+    y, delta, df = data.y, data.delta.astype(float), d.astype(float)
+    pi, _ = reference_propensity(data.x, df, 0.01)
+    ytil = delta * y / np.where(d == 1, k1.evaluate(y), k0.evaluate(y))
+    xmat = np.column_stack((np.ones(data.n), data.x))
+    treated = d == 1
+    gram = xmat[treated].T @ xmat[treated]
+    ridge = max(1e-6 * float(np.trace(gram)), 1e-10)
+    m1 = xmat @ np.linalg.solve(
+        gram + ridge * np.eye(gram.shape[0]), xmat[treated].T @ ytil[treated]
+    )
+    m0 = xmat @ reference_wls(xmat[~treated], ytil[~treated])
+    ate = np.mean(m1 + df * (ytil - m1) / pi) - np.mean(
+        m0 + (1.0 - df) * (ytil - m0) / (1.0 - pi)
+    )
+    assert res.ate == pytest.approx(ate, rel=1e-10)
+
+    perm = np.random.default_rng(1).permutation(data.n)
+    shuffled = sc.Dataset(
+        y=data.y[perm], delta=data.delta[perm], d=d[perm], x=data.x[perm]
+    )
+    again = fit_aipw(
+        shuffled, sc.fit_censoring_km(shuffled, 1),
+        sc.fit_censoring_km(shuffled, 0), n_boot=2,
+    )
+    assert again.ate == pytest.approx(res.ate, rel=1e-10)

@@ -19,10 +19,6 @@ def test_dataset_basic_properties():
     assert data.n == 6
     assert data.p == 2
     assert data.covariate_names == ("x1", "x2")
-    rec = data.record(2)
-    assert rec.y == 3.0 and rec.delta == 1 and rec.d == 0
-    np.testing.assert_array_equal(rec.x, x[2])
-    assert len(data.records) == 6
 
 
 def test_dataset_arrays_are_read_only():

@@ -4,7 +4,15 @@ from scipy.optimize import root
 from scipy.special import expit
 
 import survcbps as sc
-from survcbps.moments import PropensityParams, g_value, jacobian_g, propensity, stack_g
+from survcbps.moments import (
+    PropensityParams,
+    _row_pieces,
+    _weighted_gram,
+    jacobian_g,
+    propensity,
+    stack_g,
+)
+from survcbps.solver import _logstar
 
 
 def test_propensity_closed_form():
@@ -24,25 +32,27 @@ def test_params_validation():
         PropensityParams(beta=np.array([1.0]), clip=0.6)
 
 
+def record_moments(params, data, i, k1, k0):
+    """Oracle: the p + 2 moment components of record i, one scalar at a time."""
+    x, y = data.x[i], float(data.y[i])
+    d, delta = int(data.d[i]), int(data.delta[i])
+    pi = propensity(params, x)
+    balance = (d / pi - (1 - d) / (1 - pi)) * x
+    cal1 = d * delta / (pi * k1.evaluate(y)) - 1.0
+    cal0 = (1 - d) * delta / ((1 - pi) * k0.evaluate(y)) - 1.0
+    return np.concatenate((balance, [cal1], [cal0]))
+
+
 def test_stacked_moment_values_single_record(toy_data):
     params = PropensityParams(beta=np.full(toy_data.p, 0.1))
     k1 = sc.fit_censoring_km(toy_data, 1)
     k0 = sc.fit_censoring_km(toy_data, 0)
     gmat = stack_g(params, toy_data, k1, k0)
     assert gmat.shape == (toy_data.n, toy_data.p + 2)
-    for i in (0, 7, toy_data.n - 1):
-        rec = toy_data.record(i)
-        gv = g_value(params, rec, k1, k0)
-        pi = propensity(params, rec.x)
-        manual_balance = (rec.d / pi - (1 - rec.d) / (1 - pi)) * rec.x
-        np.testing.assert_allclose(gv.balance, manual_balance, rtol=1e-12)
-        manual_cal1 = rec.d * rec.delta / (pi * k1.evaluate(rec.y)) - 1.0
-        manual_cal0 = (
-            (1 - rec.d) * rec.delta / ((1 - pi) * k0.evaluate(rec.y)) - 1.0
+    for i in range(toy_data.n):
+        np.testing.assert_allclose(
+            gmat[i], record_moments(params, toy_data, i, k1, k0), rtol=1e-12
         )
-        assert gv.cal_treated == pytest.approx(manual_cal1, rel=1e-12)
-        assert gv.cal_control == pytest.approx(manual_cal0, rel=1e-12)
-        np.testing.assert_allclose(gv.stacked, gmat[i], rtol=1e-12)
 
 
 def test_balance_jacobian_at_zero_is_minus_gram(toy_data):
@@ -126,3 +136,31 @@ def test_beta_length_checked(toy_data):
         stack_g(bad, toy_data, k1, k0)
     with pytest.raises(sc.InputError):
         jacobian_g(bad, toy_data, k1, k0)
+
+
+def test_symmetric_products_match_general_products(toy_data):
+    def close(sym, general):
+        np.testing.assert_array_equal(sym, sym.T)
+        scale = np.max(np.abs(general))
+        np.testing.assert_allclose(sym, general, rtol=0, atol=1e-12 * scale)
+
+    rng = np.random.default_rng(8)
+    # the inner dual's Hessian, with rows on both branches of log*
+    g = rng.standard_normal((500, 40))
+    lam = rng.normal(scale=0.5, size=40)
+    d2 = _logstar(1.0 + g @ lam, 1.0 / 500, derivs=True)[2]
+    assert np.any(1.0 + g @ lam < 1.0 / 500)
+    close(_weighted_gram(g, -d2), -(g.T @ (d2[:, None] * g)))
+
+    # the balance block of the moment Jacobian, clipped rows included
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    x, n, p = toy_data.x, toy_data.n, toy_data.p
+    k1y, k0y = k1.evaluate(toy_data.y), k0.evaluate(toy_data.y)
+    for beta in (np.zeros(p), rng.uniform(-0.5, 0.5, p), np.full(p, 2.0)):
+        params = PropensityParams(beta=beta)
+        b = _row_pieces(
+            beta, params.clip, x, toy_data.d.astype(float),
+            toy_data.delta.astype(float), k1y, k0y,
+        )[4]
+        close(jacobian_g(params, toy_data, k1, k0)[:p], (x * b[:, None]).T @ x / n)

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,10 +162,10 @@ def test_profile_gradient_matches_finite_differences(toy_data):
     rng = np.random.default_rng(31)
     for _ in range(4):
         beta = rng.uniform(-0.25, 0.25, toy_data.p)
-        gm = ws.gmat(beta)
+        gm, slopes = ws.moments(beta)
         state = solve_inner_dual(gm, tol=1e-12)
         row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / ws.n, derivs=True)[1]
-        grad = ws.profile_grad(beta, state.lam, row_scale)
+        grad = ws.profile_grad(slopes, state.lam, row_scale)
         h = 1e-5
         for j in range(toy_data.p):
             up, dn = beta.copy(), beta.copy()
@@ -218,6 +219,11 @@ def test_beta_init_round_trip(toy_data):
         fit_pel(
             toy_data, k1, k0, None,
             FitOptions(beta_init=np.zeros(toy_data.p + 2)),
+        )
+    with pytest.raises(sc.InputError):
+        fit_pel(
+            toy_data, k1, k0, None,
+            FitOptions(lambda_init=np.zeros(toy_data.p)),
         )
 
 
@@ -352,3 +358,62 @@ def test_select_tau_keeps_the_best_fit_before_a_failure(toy_data, monkeypatch):
     assert len(calls) == 3
     assert tau == tau_two
     np.testing.assert_array_equal(fit.beta_hat, fit_two.beta_hat)
+
+
+def test_select_tau_breaks_a_rounding_tie_toward_the_larger_tau(
+    toy_data, monkeypatch
+):
+    from survcbps import solver
+
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    grid = default_tau_grid(toy_data.n, toy_data.p)[-2:]
+    real = solver.fit_pel
+    fits = []
+
+    def last_bits_apart(*args, **kwargs):
+        # empty active sets make each score exactly twice the EL term; the
+        # smaller tau's EL term sits one unit in the last place lower
+        fit = real(*args, **kwargs)
+        value = 0.5
+        if fits:
+            value = np.nextafter(fits[0].dual.inner_objective, -np.inf)
+        fit = replace(
+            fit, active_set=np.array([], dtype=int),
+            dual=replace(fit.dual, inner_objective=value),
+        )
+        fits.append(fit)
+        return fit
+
+    monkeypatch.setattr(solver, "fit_pel", last_bits_apart)
+    tau, fit = select_tau(toy_data, k1, k0, grid=grid)
+    assert len(fits) == 2
+    assert tau == grid[-1]
+    assert fit is fits[0]
+
+
+def test_select_tau_carries_the_dual_along_the_path(toy_data, monkeypatch):
+    from survcbps import solver
+
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    real_fit, real_inner = solver.fit_pel, solver.solve_inner_dual
+    newton = []
+
+    def fit(*args, **kwargs):
+        newton.append([])
+        return real_fit(*args, **kwargs)
+
+    def inner(*args, **kwargs):
+        state = real_inner(*args, **kwargs)
+        newton[-1].append(state.iterations)
+        return state
+
+    monkeypatch.setattr(solver, "fit_pel", fit)
+    monkeypatch.setattr(solver, "solve_inner_dual", inner)
+    select_tau(toy_data, k1, k0)
+    assert len(newton) == 20
+    # each fit starts at the previous fit's beta and dual, already solved
+    assert all(per_fit[0] <= 1 for per_fit in newton[1:])
+    # with every first inner solve started cold the path took 177
+    assert sum(map(sum, newton)) < 177
