@@ -8,11 +8,9 @@ are included for comparison studies.
 """
 
 from .baselines import (
-    BaselineSpec,
     fit_aipw,
     fit_cbps_unpenalized,
     fit_naive_ipw,
-    run_baseline,
 )
 from .censoring import CensorSurvival, fit_censoring_km
 from .data import Dataset, SummaryStats, parse_csv, summarize, write_csv
@@ -52,7 +50,6 @@ from .solver import (
     default_tau_grid,
     el_weights,
     fit_pel,
-    pel_objective,
     select_tau,
     solve_inner_dual,
 )
@@ -61,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATEResult",
-    "BaselineSpec",
     "CensorSurvival",
     "ConfigError",
     "Dataset",
@@ -96,9 +92,7 @@ __all__ = [
     "lqa_weight",
     "normalized_weights",
     "parse_csv",
-    "pel_objective",
     "propensity",
-    "run_baseline",
     "run_study",
     "scad_derivative",
     "scad_value",

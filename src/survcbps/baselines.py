@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -57,18 +56,6 @@ from .inference import (
     weighted_median,
 )
 from .solver import FitOptions, fit_pel
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    """Which baseline to run plus method-specific knobs."""
-
-    kind: str
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("naive_ipw", "cbps_unpenalized", "aipw"):
-            raise InputError(f"unknown baseline kind: {self.kind!r}")
 
 
 # A block of resamples is processed at once. Its (block x n) arrays and its
@@ -398,21 +385,3 @@ def fit_aipw(
         warnings=tuple(notes), level=level,
     )
 
-
-def run_baseline(
-    spec: BaselineSpec,
-    data: Dataset,
-    k1: CensorSurvival,
-    k0: CensorSurvival,
-    **common,
-) -> ATEResult:
-    """Dispatch a baseline by its spec; common kwargs pass through."""
-    kwargs = dict(common)
-    kwargs.update(spec.options)
-    if spec.kind == "naive_ipw":
-        return fit_naive_ipw(data, k1, k0, **kwargs)
-    if spec.kind == "aipw":
-        return fit_aipw(data, k1, k0, **kwargs)
-    kwargs.pop("n_boot", None)
-    kwargs.pop("seed", None)
-    return fit_cbps_unpenalized(data, k1, k0, **kwargs)

@@ -41,6 +41,7 @@ from .simulation import (
     SCHEMA_VERSION,
     SimConfig,
     SimReport,
+    _coerce_config_value,
     load_config,
     run_study,
     write_outputs,
@@ -65,6 +66,10 @@ def _parse_seed(text: str) -> int:
         return int(text)
     except ValueError:
         raise ConfigError(f"--seed must be an integer or 'random', got {text!r}")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,19 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", default=None, help="flat key = value file")
     sim.add_argument("--out-dir", default="sim_out")
     sim.add_argument("--workers", type=int, default=1)
-    for flag, typ in (
-        ("--n", int), ("--p", int), ("--replications", int),
-        ("--beta-nonzero", int), ("--gamma-nonzero", int), ("--n-boot", int),
-        ("--beta-magnitude", float), ("--gamma-magnitude", float),
-        ("--lambda0", float), ("--weibull-k", float), ("--censor-target", float),
-        ("--ar-rho", float), ("--clip", float), ("--km-floor", float),
-        ("--level", float),
-    ):
-        sim.add_argument(flag, type=typ, default=None)
-    sim.add_argument("--covariance", choices=("identity", "ar"), default=None)
-    sim.add_argument("--estimators", default=None,
-                     help="comma-separated list, e.g. proposed,naive_ipw")
-    sim.add_argument("--seed", default=None)
+    # one flag per SimConfig field, coerced as its config-file line would be
+    for key in SimConfig.__dataclass_fields__:
+        sim.add_argument(_flag(key), dest=key, default=None)
 
     rep = sub.add_parser("report", help="re-render tables from a dump.json")
     rep.add_argument("--in", dest="infile", required=True)
@@ -190,32 +185,25 @@ def cmd_fit(args) -> int:
     return _EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _simulate_config(args) -> SimConfig:
+    """The study's SimConfig: --config lines, overridden by field flags."""
     overrides = {}
-    mapping = {
-        "n": args.n, "p": args.p, "replications": args.replications,
-        "beta_nonzero": args.beta_nonzero, "gamma_nonzero": args.gamma_nonzero,
-        "beta_magnitude": args.beta_magnitude,
-        "gamma_magnitude": args.gamma_magnitude,
-        "lambda0": args.lambda0, "weibull_k": args.weibull_k,
-        "censor_target": args.censor_target, "ar_rho": args.ar_rho,
-        "clip": args.clip, "km_floor": args.km_floor, "level": args.level,
-        "covariance": args.covariance, "n_boot": args.n_boot,
-    }
-    for key, val in mapping.items():
-        if val is not None:
-            overrides[key] = val
-    if args.estimators is not None:
-        overrides["estimators"] = tuple(
-            s.strip() for s in args.estimators.split(",") if s.strip()
-        )
-    try:
-        if args.seed is not None:
-            overrides["seed"] = _parse_seed(args.seed)
-        if args.config is not None:
-            config = load_config(args.config, overrides)
+    for key in SimConfig.__dataclass_fields__:
+        val = getattr(args, key)
+        if val is None:
+            continue
+        if key == "seed":
+            overrides[key] = _parse_seed(val)
         else:
-            config = SimConfig(**overrides)
+            overrides[key] = _coerce_config_value(key, val, _flag(key))
+    if args.config is not None:
+        return load_config(args.config, overrides)
+    return SimConfig(**overrides)
+
+
+def cmd_simulate(args) -> int:
+    try:
+        config = _simulate_config(args)
     except FileNotFoundError:
         return _fail("file", f"no such file: {args.config}", _EXIT_INPUT)
     except ConfigError as exc:

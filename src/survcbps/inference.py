@@ -184,19 +184,6 @@ def _sandwich_pieces(fit: PELFit, data: Dataset, k1, k0):
     return sigma, g1, vhat, gmat, notes
 
 
-def sandwich_covariance(
-    fit: PELFit,
-    data: Dataset,
-    k1: CensorSurvival,
-    k0: CensorSurvival,
-) -> np.ndarray:
-    """Estimate of n * Cov(active coefficients): (G1' V^{-1} G1)^{-1}."""
-    sigma, _, _, _, notes = _sandwich_pieces(fit, data, k1, k0)
-    for msg in notes:
-        _warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return sigma
-
-
 def _means_at_beta(beta, fit, data, k1y, k0y, dvec, delta):
     pi_params = PropensityParams(beta=beta, clip=fit.clip)
     pi = propensity(pi_params, data.x)

@@ -440,7 +440,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> SimConfig:
         key, val = key.strip(), val.strip()
         if key not in SimConfig.__dataclass_fields__:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce_config_value(key, val, lineno)
+        values[key] = _coerce_config_value(key, val, f"line {lineno}")
     if overrides:
         values.update(overrides)
     try:
@@ -449,7 +449,8 @@ def parse_config_text(text: str, overrides: dict | None = None) -> SimConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _coerce_config_value(key, val, lineno):
+def _coerce_config_value(key, val, where):
+    """The typed value of text val for field key; where names its source."""
     field_obj = SimConfig.__dataclass_fields__[key]
     default = field_obj.default
     try:
@@ -463,7 +464,7 @@ def _coerce_config_value(key, val, lineno):
             return float(val)
         return val
     except ValueError:
-        raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from None
+        raise ConfigError(f"{where}: bad value for {key}: {val!r}") from None
 
 
 def load_config(path, overrides: dict | None = None) -> SimConfig:

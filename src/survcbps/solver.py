@@ -25,9 +25,9 @@ is what produces sparse fits.
 The line search halves a rejected step up to 40 times. At a stationary
 iterate, where the model decrement is at most 1e-8 * (1 + |Q|), it stops at
 the first rejected step instead, and the fit ends converged. A fit also ends
-converged once an accepted step moves no coefficient by more than outer_tol,
-and ends unconverged when 40 halvings find no decrease elsewhere or
-max_outer steps run out.
+converged once an accepted step moves no coefficient by more than 1e-6,
+and ends unconverged when 40 halvings find no decrease elsewhere or 200
+steps run out.
 
 Each Newton step of the inner problem forms its Hessian g' diag(-log*'') g
 as one symmetric product and g' direction once, so every halving of its
@@ -35,22 +35,24 @@ line search costs O(n). One pass over the rows at each beta gives the
 moment matrix and the slopes from which the outer step's profile gradient
 and Jacobian follow.
 
-Along a penalty path, select_tau starts each fit at the previous fit's beta
-and dual vector (FitOptions.beta_init and lambda_init), where the first
-inner problem is already solved, so it costs at most a Newton step. The
-beta = 0 fallback starts the dual cold: its outcome does not depend on
-tau.
-
 Covariates are rescaled internally to unit variance so the penalty acts on
 comparable coordinates; estimates are mapped back to the original scale.
 Columns are not centered: the propensity model has no intercept, and
 centering would implicitly add one.
+
+select_tau builds one _Path for its whole penalty path: the rescaled
+design, the censoring curves at the observed times, and the (beta, lam) of
+the last successful fit, kept in the internal scale. Each fit starts at
+that beta and dual vector, where the first inner problem is already solved,
+so it costs at most a Newton step. A failed fit leaves them as they were,
+and the beta = 0 fallback starts the dual cold: its outcome does not
+depend on tau. A stand-alone fit_pel builds its own one-tau path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -67,6 +69,14 @@ from .moments import (
 )
 from .scad import ScadParams, lqa_weight, scad_value
 
+_INNER_TOL = 1e-8        # inner stop: max |dual gradient|
+_INNER_MAX_ITER = 100    # inner Newton steps
+_LQA_EPS = 1e-6          # SCAD local quadratic majorization floor
+_ZERO_TOL = 1e-5         # penalized coefficients below this snap to zero
+_MAX_OUTER = 200         # outer steps
+_OUTER_TOL = 1e-6        # outer stop: largest accepted coefficient move
+_INIT_RIDGE = 1e-4       # ridge of the logistic fit that starts a path
+
 
 @dataclass(frozen=True)
 class ELDualState:
@@ -81,19 +91,9 @@ class ELDualState:
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Propensities are clipped to [clip, 1 - clip]."""
+
     clip: float = 0.01
-    lqa_eps: float = 1e-6
-    zero_tol: float = 1e-5
-    max_outer: int = 200
-    outer_tol: float = 1e-6
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 100
-    standardize: bool = True
-    init_ridge: float = 1e-4
-    beta_init: np.ndarray | None = None
-    # dual warm start for the first inner solve, in the original covariate
-    # scale of PELFit.dual.lam
-    lambda_init: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,8 @@ def _logstar(z, eps, derivs=False):
 def solve_inner_dual(
     gmat,
     lambda_init=None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = _INNER_TOL,
+    max_iter: int = _INNER_MAX_ITER,
 ) -> ELDualState:
     """Damped Newton maximization of the pseudo-log dual objective."""
     g = np.asarray(gmat, dtype=float)
@@ -227,53 +227,43 @@ def el_weights(gmat, lam) -> np.ndarray:
     return _logstar(z, 1.0 / n, derivs=True)[1] / n
 
 
-class _Workspace:
-    """Arrays shared by every objective evaluation inside one fit."""
+class _Path:
+    """One dataset's penalty path: shared arrays and the warm start.
 
-    def __init__(self, data: Dataset, k1, k0, opts: FitOptions):
+    beta and lam are those of the last successful fit, in the internal
+    (rescaled) coordinates; None before the first.
+    """
+
+    def __init__(self, data: Dataset, k1, k0, clip: float):
         self.n = data.n
         self.p = data.p
         self.dvec = data.d.astype(float)
         self.delta = data.delta.astype(float)
         self.k1y = k1.evaluate(data.y)
         self.k0y = k0.evaluate(data.y)
-        self.clip = opts.clip
-        if opts.standardize:
-            sd = data.x.std(axis=0)
-            self.scales = np.where(sd > 0, sd, 1.0)
-        else:
-            self.scales = np.ones(self.p)
+        self.clip = clip
+        sd = data.x.std(axis=0)
+        self.scales = np.where(sd > 0, sd, 1.0)
         self.x = data.x / self.scales
+        self.beta = None
+        self.lam = None
 
-    def moments(self, beta):
-        """(gmat, slopes) at beta; the slopes feed mean_jac and profile_grad."""
-        return _gmat_and_slopes(
+    def q_eval(self, beta, scad, lam_init=None):
+        """(Q, dual state, gmat, slopes) at internal beta.
+
+        Q is the profiled EL term plus n times the summed penalty, and +inf
+        when the inner solve fails, so that comparisons reject the point.
+        """
+        gm, slopes = _gmat_and_slopes(
             beta, self.clip, self.x, self.dvec, self.delta, self.k1y, self.k0y
         )
-
-    def mean_jac(self, slopes):
-        return _mean_jacobian(self.x, slopes)
-
-    def profile_grad(self, slopes, lam, row_scale):
-        return _profile_grad(self.x, slopes, lam, row_scale)
-
-
-def _penalty_total(beta, scad, n):
-    if scad is None:
-        return 0.0
-    return n * float(np.sum(scad_value(np.abs(beta), scad)))
-
-
-def _q_eval(ws: _Workspace, beta, scad, opts: FitOptions, lam_init):
-    """(Q, dual state, gmat, slopes); Q is +inf when the inner solve fails."""
-    gm, slopes = ws.moments(beta)
-    state = solve_inner_dual(
-        gm, lam_init, tol=opts.inner_tol, max_iter=opts.inner_max_iter
-    )
-    if not state.converged:
-        return math.inf, state, gm, slopes
-    q = state.inner_objective + _penalty_total(beta, scad, ws.n)
-    return q, state, gm, slopes
+        state = solve_inner_dual(gm, lam_init)
+        if not state.converged:
+            return math.inf, state, gm, slopes
+        q = state.inner_objective
+        if scad is not None:
+            q += self.n * float(np.sum(scad_value(np.abs(beta), scad)))
+        return q, state, gm, slopes
 
 
 def _ridge_logistic(x, d, ridge, max_iter=50, tol=1e-8):
@@ -298,72 +288,45 @@ def _ridge_logistic(x, d, ridge, max_iter=50, tol=1e-8):
     return beta
 
 
-def pel_objective(
-    beta,
-    data: Dataset,
-    k1: CensorSurvival,
-    k0: CensorSurvival,
-    scad: ScadParams | None,
-    clip: float = 0.01,
-    lambda_init=None,
-) -> float:
-    """Q(beta): profiled EL term plus n times the summed penalty.
-
-    Inner non-convergence is propagated as +inf so that callers comparing
-    objective values reject such points.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (data.p,):
-        raise InputError("beta length must equal the number of covariates")
-    opts = FitOptions(clip=clip, standardize=False)
-    ws = _Workspace(data, k1, k0, opts)
-    return _q_eval(ws, beta, scad, opts, lambda_init)[0]
-
-
 def fit_pel(
     data: Dataset,
     k1: CensorSurvival,
     k0: CensorSurvival,
     scad: ScadParams | None,
     opts: FitOptions | None = None,
+    *,
+    _path: _Path | None = None,
 ) -> PELFit:
-    """Minimize the penalized EL objective; scad=None fits unpenalized."""
-    opts = opts or FitOptions()
-    ws = _Workspace(data, k1, k0, opts)
-    n, p = ws.n, ws.p
-    zero_tol = opts.zero_tol if scad is not None else 0.0
+    """Minimize the penalized EL objective; scad=None fits unpenalized.
 
-    if opts.beta_init is not None:
-        beta = np.asarray(opts.beta_init, dtype=float)
-        if beta.shape != (p,):
-            raise InputError("beta_init length must equal the number of covariates")
-        beta = beta * ws.scales
+    _path, when given, is select_tau's path over the same data and curves.
+    It supplies the clip and the starting point, and a successful fit leaves
+    its beta and dual vector there for the next one.
+    """
+    path = _path or _Path(data, k1, k0, (opts or FitOptions()).clip)
+    n, p = path.n, path.p
+    zero_tol = _ZERO_TOL if scad is not None else 0.0
+
+    if path.beta is None:
+        beta = _ridge_logistic(path.x, path.dvec, _INIT_RIDGE)
     else:
-        beta = _ridge_logistic(ws.x, ws.dvec, opts.init_ridge)
-
-    lam_init = None
-    if opts.lambda_init is not None:
-        lam_init = np.array(opts.lambda_init, dtype=float)
-        if lam_init.shape != (p + 2,):
-            raise InputError("lambda_init length must equal p + 2")
-        lam_init[:p] *= ws.scales
-
-    q_cur, state, gm, slopes = _q_eval(ws, beta, scad, opts, lam_init)
+        beta = path.beta
+    q_cur, state, gm, slopes = path.q_eval(beta, scad, path.lam)
     if not math.isfinite(q_cur):
         # the fallback starts cold, so its failure does not depend on tau
         beta = np.zeros(p)
-        q_cur, state, gm, slopes = _q_eval(ws, beta, scad, opts, None)
+        q_cur, state, gm, slopes = path.q_eval(beta, scad)
         if not math.isfinite(q_cur):
             raise FitError("inner dual did not converge at the initial point")
 
     trace = [q_cur]
     converged = False
     outer = 0
-    for outer in range(1, opts.max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         lam = state.lam
         row_scale = _logstar(1.0 + gm @ lam, 1.0 / n, derivs=True)[1]
-        grad_el = ws.profile_grad(slopes, lam, row_scale)
-        jac = ws.mean_jac(slopes)
+        grad_el = _profile_grad(path.x, slopes, lam, row_scale)
+        jac = _mean_jacobian(path.x, slopes)
         vhat = gm.T @ gm / n
         vhat[np.diag_indices_from(vhat)] += 1e-10 * (1.0 + np.trace(vhat))
         try:
@@ -373,7 +336,7 @@ def fit_pel(
         h_el = n * (jac.T @ sol)
         h_el = 0.5 * (h_el + h_el.T)
         if scad is not None:
-            w_lqa = np.atleast_1d(lqa_weight(beta, scad, opts.lqa_eps))
+            w_lqa = np.atleast_1d(lqa_weight(beta, scad, _LQA_EPS))
         else:
             w_lqa = np.zeros(p)
         h_mat = h_el + np.diag(n * w_lqa)
@@ -400,7 +363,7 @@ def fit_pel(
             cand = beta + step * direction
             if zero_tol > 0.0:
                 cand = np.where(np.abs(cand) < zero_tol, 0.0, cand)
-            q_cand, st_cand, gm_cand, sl_cand = _q_eval(ws, cand, scad, opts, lam)
+            q_cand, st_cand, gm_cand, sl_cand = path.q_eval(cand, scad, lam)
             if q_cand < q_cur - 1e-12 * (1.0 + abs(q_cur)):
                 accepted = True
                 break
@@ -413,13 +376,14 @@ def fit_pel(
         delta_max = float(np.max(np.abs(cand - beta)))
         beta, q_cur, state, gm, slopes = cand, q_cand, st_cand, gm_cand, sl_cand
         trace.append(q_cur)
-        if delta_max <= opts.outer_tol:
+        if delta_max <= _OUTER_TOL:
             converged = True
             break
 
-    beta_orig = beta / ws.scales
+    path.beta, path.lam = beta, state.lam
+    beta_orig = beta / path.scales
     lam_orig = state.lam.copy()
-    lam_orig[:p] = lam_orig[:p] / ws.scales
+    lam_orig[:p] = lam_orig[:p] / path.scales
     active = np.flatnonzero(beta_orig != 0.0)
     return PELFit(
         beta_hat=beta_orig,
@@ -429,7 +393,7 @@ def fit_pel(
         outer_iterations=outer,
         objective_trace=np.asarray(trace),
         converged=converged,
-        clip=opts.clip,
+        clip=path.clip,
     )
 
 
@@ -468,23 +432,21 @@ def select_tau(
         raise InputError("tau grid must be nonempty and positive")
     logn = math.log(data.n)
     best = None
-    warm, warm_lam = opts.beta_init, opts.lambda_init
+    path = _Path(data, k1, k0, opts.clip)
     for tau in grid:
         try:
             fit = fit_pel(
-                data, k1, k0, ScadParams(lam=float(tau), a=scad_a),
-                replace(opts, beta_init=warm, lambda_init=warm_lam),
+                data, k1, k0, ScadParams(lam=float(tau), a=scad_a), _path=path,
             )
         except FitError as exc:
             # fit_pel fails only at its starting points, whose inner dual
-            # does not depend on tau, and the warm start is left as it was:
-            # every smaller tau would fail the same way
+            # does not depend on tau, and the path's warm start is left as
+            # it was: every smaller tau would fail the same way
             if best is None:
                 raise SelectionError(
                     f"fit at tau={float(tau):.6g} failed: {exc}"
                 ) from exc
             break
-        warm, warm_lam = fit.beta_hat, fit.dual.lam
         score = 2.0 * fit.dual.inner_objective + fit.active_set.size * logn
         if best is None or score < best[0] - 1e-9 * (1.0 + abs(best[0])):
             best = (score, float(tau), fit)

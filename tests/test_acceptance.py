@@ -135,7 +135,8 @@ def test_criterion_01_inner_dual_oracle(check):
 
 
 def test_criterion_02_derivative_checks(check):
-    from survcbps.solver import _Workspace, _logstar
+    from survcbps.moments import _profile_grad
+    from survcbps.solver import _logstar, _Path
 
     ok = True
     # analytic moment jacobian against central differences
@@ -160,23 +161,20 @@ def test_criterion_02_derivative_checks(check):
     # profile EL gradient against central differences
     data = small_dataset(seed=3)
     k1, k0 = _km_fits(data)
-    ws = _Workspace(data, k1, k0, sc.FitOptions(standardize=False))
+    path = _Path(data, k1, k0, clip=0.01)
     rng = np.random.default_rng(7)
     for _ in range(3):
-        beta = rng.uniform(-0.25, 0.25, data.p)
-        gm, slopes = ws.moments(beta)
-        state = sc.solve_inner_dual(gm, tol=1e-12)
-        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / ws.n, derivs=True)[1]
-        grad = ws.profile_grad(slopes, state.lam, row_scale)
+        beta = rng.uniform(-0.25, 0.25, data.p)  # internal coordinates
+        _, state, gm, slopes = path.q_eval(beta, None)
+        state = sc.solve_inner_dual(gm, state.lam, tol=1e-12)
+        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / path.n, derivs=True)[1]
+        grad = _profile_grad(path.x, slopes, state.lam, row_scale)
         h = 1e-5
         for j in range(data.p):
             up, dn = beta.copy(), beta.copy()
             up[j] += h
             dn[j] -= h
-            fd = (
-                sc.pel_objective(up, data, k1, k0, None)
-                - sc.pel_objective(dn, data, k1, k0, None)
-            ) / (2 * h)
+            fd = (path.q_eval(up, None)[0] - path.q_eval(dn, None)[0]) / (2 * h)
             ok = ok and abs(grad[j] - fd) <= 1e-4 * (1.0 + abs(fd))
     assert check(
         ok,

@@ -4,12 +4,10 @@ from scipy.special import expit, ndtri
 
 import survcbps as sc
 from survcbps.baselines import (
-    BaselineSpec,
     _Design,
     fit_aipw,
     fit_cbps_unpenalized,
     fit_naive_ipw,
-    run_baseline,
 )
 from survcbps.censoring import CensorSurvival
 from survcbps.inference import _hajek_means, _ipcw_weight_arrays, ate_with_ci
@@ -233,21 +231,6 @@ def test_aipw_linear_runs_and_is_deterministic(arms):
     assert np.isfinite(a.se)
     with pytest.raises(sc.InputError):
         fit_aipw(data, k1, k0, outcome_model="cubic")
-
-
-def test_run_baseline_dispatch(arms):
-    data, k1, k0 = arms
-    spec = BaselineSpec(kind="naive_ipw", options={"n_boot": 40})
-    res = run_baseline(spec, data, k1, k0, seed=77)
-    ref = fit_naive_ipw(data, k1, k0, n_boot=40, seed=77)
-    assert res.ate == ref.ate and res.se == ref.se
-    res2 = run_baseline(
-        BaselineSpec(kind="cbps_unpenalized"), data, k1, k0,
-        n_boot=40, seed=77,
-    )
-    assert np.isfinite(res2.ate)
-    with pytest.raises(sc.InputError):
-        BaselineSpec(kind="mystery")
 
 
 def test_naive_ipw_handles_near_separation():

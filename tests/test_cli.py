@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import survcbps as sc
-from survcbps.cli import main
+from survcbps.cli import _build_parser, _simulate_config, main
+from survcbps.simulation import SimConfig, parse_config_text
 from tests.conftest import small_dataset
 
 
@@ -156,6 +157,46 @@ def test_simulate_bad_config(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+# a valid, non-default text value for every SimConfig field
+SIM_FIELD_TEXT = {
+    "n": "150", "p": "7", "covariance": "ar", "ar_rho": "0.3",
+    "beta_nonzero": "2", "beta_magnitude": "0.5", "gamma_nonzero": "3",
+    "gamma_magnitude": "0.1", "lambda0": "1.5", "weibull_k": "2.0",
+    "censor_target": "0.4", "replications": "7", "seed": "9",
+    "estimators": "proposed, aipw", "clip": "0.02", "km_floor": "0.1",
+    "level": "0.9", "n_boot": "50",
+}
+
+
+def _config_from_flags(*argv):
+    return _simulate_config(_build_parser().parse_args(["simulate", *argv]))
+
+
+def test_simulate_flag_equals_config_line_for_every_field():
+    assert set(SIM_FIELD_TEXT) == set(SimConfig.__dataclass_fields__)
+    default = SimConfig()
+    for key, text in SIM_FIELD_TEXT.items():
+        flag = "--" + key.replace("_", "-")
+        by_flag = _config_from_flags(flag, text)
+        assert by_flag == parse_config_text(f"{key} = {text}")
+        assert getattr(by_flag, key) != getattr(default, key)
+    argv = []
+    for key, text in SIM_FIELD_TEXT.items():
+        argv += ["--" + key.replace("_", "-"), text]
+    lines = "".join(f"{key} = {text}\n" for key, text in SIM_FIELD_TEXT.items())
+    assert _config_from_flags(*argv) == parse_config_text(lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--covariance", "bogus"], ["--n", "1.5"], ["--ar-rho", "half"],
+    ["--seed", "soon"], ["--estimators", "proposed,mystery"],
+])
+def test_simulate_bad_flag_value_is_a_config_error(argv, capsys):
+    assert main(["simulate", *argv]) == 2
+    err_doc = json.loads(capsys.readouterr().out)
+    assert err_doc["error"]["category"] == "config"
 
 
 def test_report_errors(tmp_path, capsys):

@@ -3,10 +3,10 @@ import pytest
 
 import survcbps as sc
 from survcbps.inference import (
+    _sandwich_pieces,
     ate_with_ci,
     ipcw_ipw_means,
     normalized_weights,
-    sandwich_covariance,
     weighted_median,
 )
 from survcbps.moments import PropensityParams
@@ -109,7 +109,7 @@ def test_sandwich_matches_direct_inverse():
     k0 = sc.fit_censoring_km(data, 0)
     fit = fit_pel(data, k1, k0, scad=None)
     assert fit.active_set.size == 2
-    sigma = sandwich_covariance(fit, data, k1, k0)
+    sigma = _sandwich_pieces(fit, data, k1, k0)[0]
     from survcbps.moments import jacobian_g, stack_g
 
     jac = jacobian_g(fit.params, data, k1, k0)[:, fit.active_set]

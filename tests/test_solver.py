@@ -9,12 +9,13 @@ from scipy.optimize import minimize
 
 import survcbps as sc
 from survcbps.scad import ScadParams
+from survcbps.moments import _profile_grad
 from survcbps.solver import (
-    FitOptions,
+    _logstar,
+    _Path,
     default_tau_grid,
     el_weights,
     fit_pel,
-    pel_objective,
     select_tau,
     solve_inner_dual,
 )
@@ -138,43 +139,41 @@ def test_weights_sum_to_one_at_optimum():
     assert abs(float(w.sum()) - 1.0) <= 1e-3
 
 
-def test_pel_objective_composes_inner_and_penalty(toy_data):
-    k1 = sc.fit_censoring_km(toy_data, 1)
-    k0 = sc.fit_censoring_km(toy_data, 0)
-    beta = np.array([0.2, -0.1, 0.05])
+def _toy_path(data):
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    return _Path(data, k1, k0, clip=0.01), k1, k0
+
+
+def test_path_q_eval_composes_inner_and_penalty(toy_data):
+    path, k1, k0 = _toy_path(toy_data)
+    beta = np.array([0.2, -0.1, 0.05])  # internal coordinates
     scad = ScadParams(lam=0.3)
-    q = pel_objective(beta, toy_data, k1, k0, scad)
-    gm = sc.stack_g(sc.PropensityParams(beta=beta), toy_data, k1, k0)
+    q = path.q_eval(beta, scad)[0]
+    params = sc.PropensityParams(beta=beta / path.scales)
+    gm = sc.stack_g(params, toy_data, k1, k0)
     state = solve_inner_dual(gm)
     pen = toy_data.n * float(np.sum(sc.scad_value(np.abs(beta), scad)))
     assert q == pytest.approx(state.inner_objective + pen, rel=1e-10)
-    q_unpen = pel_objective(beta, toy_data, k1, k0, None)
+    q_unpen = path.q_eval(beta, None)[0]
     assert q_unpen == pytest.approx(state.inner_objective, rel=1e-10)
 
 
 def test_profile_gradient_matches_finite_differences(toy_data):
-    from survcbps.solver import _Workspace, _logstar
-
-    k1 = sc.fit_censoring_km(toy_data, 1)
-    k0 = sc.fit_censoring_km(toy_data, 0)
-    opts = FitOptions(standardize=False)
-    ws = _Workspace(toy_data, k1, k0, opts)
+    path, _, _ = _toy_path(toy_data)
     rng = np.random.default_rng(31)
     for _ in range(4):
         beta = rng.uniform(-0.25, 0.25, toy_data.p)
-        gm, slopes = ws.moments(beta)
-        state = solve_inner_dual(gm, tol=1e-12)
-        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / ws.n, derivs=True)[1]
-        grad = ws.profile_grad(slopes, state.lam, row_scale)
+        _, state, gm, slopes = path.q_eval(beta, None)
+        state = solve_inner_dual(gm, state.lam, tol=1e-12)
+        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / path.n, derivs=True)[1]
+        grad = _profile_grad(path.x, slopes, state.lam, row_scale)
         h = 1e-5
         for j in range(toy_data.p):
             up, dn = beta.copy(), beta.copy()
             up[j] += h
             dn[j] -= h
-            fd = (
-                pel_objective(up, toy_data, k1, k0, None)
-                - pel_objective(dn, toy_data, k1, k0, None)
-            ) / (2 * h)
+            fd = (path.q_eval(up, None)[0] - path.q_eval(dn, None)[0]) / (2 * h)
             assert abs(grad[j] - fd) <= 1e-4 * (1.0 + abs(fd))
 
 
@@ -204,27 +203,6 @@ def test_unpenalized_fit_keeps_all_coordinates(toy_data):
     assert fit.active_set.size == toy_data.p
     assert fit.converged
     assert np.all(fit.beta_hat != 0.0)
-
-
-def test_beta_init_round_trip(toy_data):
-    k1 = sc.fit_censoring_km(toy_data, 1)
-    k0 = sc.fit_censoring_km(toy_data, 0)
-    first = fit_pel(toy_data, k1, k0, ScadParams(lam=0.05))
-    again = fit_pel(
-        toy_data, k1, k0, ScadParams(lam=0.05),
-        FitOptions(beta_init=first.beta_hat),
-    )
-    np.testing.assert_allclose(again.beta_hat, first.beta_hat, atol=1e-5)
-    with pytest.raises(sc.InputError):
-        fit_pel(
-            toy_data, k1, k0, None,
-            FitOptions(beta_init=np.zeros(toy_data.p + 2)),
-        )
-    with pytest.raises(sc.InputError):
-        fit_pel(
-            toy_data, k1, k0, None,
-            FitOptions(lambda_init=np.zeros(toy_data.p)),
-        )
 
 
 def test_null_design_selects_empty_set_usually():
@@ -303,18 +281,55 @@ def _count_calls(monkeypatch, name):
 
 
 def test_refit_at_converged_beta_stops_at_once(toy_data, monkeypatch):
-    k1 = sc.fit_censoring_km(toy_data, 1)
-    k0 = sc.fit_censoring_km(toy_data, 0)
-    first = fit_pel(toy_data, k1, k0, ScadParams(lam=0.05))
+    path, k1, k0 = _toy_path(toy_data)
+    first = fit_pel(toy_data, k1, k0, ScadParams(lam=0.05), _path=path)
     assert first.converged
     inner = _count_calls(monkeypatch, "solve_inner_dual")
-    again = fit_pel(
-        toy_data, k1, k0, ScadParams(lam=0.05),
-        FitOptions(beta_init=first.beta_hat),
-    )
+    again = fit_pel(toy_data, k1, k0, ScadParams(lam=0.05), _path=path)
+    np.testing.assert_allclose(again.beta_hat, first.beta_hat, atol=1e-5)
+    assert again.converged
     # the starting point and one rejected step, not 40 halvings after it
     assert len(inner) <= 2
-    assert again.converged
+
+
+def test_failed_fit_leaves_the_warm_start_as_it_was(toy_data, monkeypatch):
+    from survcbps import solver
+
+    path, k1, k0 = _toy_path(toy_data)
+    fit_pel(toy_data, k1, k0, None, _path=path)
+    beta, lam = path.beta.copy(), path.lam.copy()
+    assert np.all(beta != 0.0)
+    real = solver.solve_inner_dual
+    starts = []
+
+    def never_converges(gmat, lambda_init=None, **kwargs):
+        starts.append(lambda_init)
+        return replace(real(gmat, lambda_init, **kwargs), converged=False)
+
+    monkeypatch.setattr(solver, "solve_inner_dual", never_converges)
+    with pytest.raises(sc.FitError, match="initial point"):
+        fit_pel(toy_data, k1, k0, None, _path=path)
+    # the warm start, then the beta = 0 fallback with a cold dual
+    assert len(starts) == 2
+    assert starts[0] is not None and starts[1] is None
+    np.testing.assert_array_equal(path.beta, beta)
+    np.testing.assert_array_equal(path.lam, lam)
+
+
+def test_select_tau_evaluates_the_censoring_curves_once(toy_data, monkeypatch):
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    calls = []
+    real = sc.CensorSurvival.evaluate
+
+    def counted(self, t):
+        calls.append(self)
+        return real(self, t)
+
+    monkeypatch.setattr(sc.CensorSurvival, "evaluate", counted)
+    select_tau(toy_data, k1, k0)
+    # one path for all 20 taus: each arm's curve at the observed times
+    assert len(calls) == 2
 
 
 def test_select_tau_inner_call_budget(toy_data, monkeypatch):
