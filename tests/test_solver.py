@@ -292,6 +292,21 @@ def test_refit_at_converged_beta_stops_at_once(toy_data, monkeypatch):
     assert len(inner) <= 2
 
 
+def test_beta_init_round_trip(toy_data):
+    """A fresh path started at a converged fit's beta and dual refits to it."""
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    first = fit_pel(toy_data, k1, k0, ScadParams(lam=0.05))
+    path = _Path(toy_data, k1, k0, clip=0.01)
+    p = toy_data.p
+    path.beta = first.beta_hat * path.scales
+    path.lam = first.dual.lam.copy()
+    path.lam[:p] = path.lam[:p] * path.scales
+    again = fit_pel(toy_data, k1, k0, ScadParams(lam=0.05), _path=path)
+    np.testing.assert_allclose(again.beta_hat, first.beta_hat, atol=1e-5)
+    np.testing.assert_array_equal(again.active_set, first.active_set)
+
+
 def test_failed_fit_leaves_the_warm_start_as_it_was(toy_data, monkeypatch):
     from survcbps import solver
 
