@@ -29,11 +29,20 @@ converged once an accepted step moves no coefficient by more than 1e-6,
 and ends unconverged when 40 halvings find no decrease elsewhere or 200
 steps run out.
 
-Each Newton step of the inner problem forms its Hessian g' diag(-log*'') g
-as one symmetric product and g' direction once, so every halving of its
-line search costs O(n). One pass over the rows at each beta gives the
-moment matrix and the slopes from which the outer step's profile gradient
-and Jacobian follow.
+The inner problem is solved by a chord-Newton iteration (Kelley 2003,
+Solving Nonlinear Equations with Newton's Method). A fresh Newton step
+forms the Hessian g' diag(-log*'') g as one symmetric product, O(n m^2),
+factors it by Cholesky, and halves a rejected step up to 60 times at O(n)
+a halving. A solve handed the factor of an earlier Hessian first steps
+with that factor instead, at O(n m) a step. It keeps doing so while each
+full chord step passes the same sufficient-increase test and at least
+halves the largest gradient entry. A chord step that fails either test,
+or whose model gain is below the resolution of the objective, hands over
+to fresh Newton steps for the rest of the solve. Only a fresh Newton
+direction can declare the iterate numerically optimal, so the stopping
+rules are those of plain Newton. One pass over the rows at each beta gives
+the moment matrix and the slopes from which the outer step's profile
+gradient and Jacobian follow.
 
 Covariates are rescaled internally to unit variance so the penalty acts on
 comparable coordinates; estimates are mapped back to the original scale.
@@ -41,12 +50,15 @@ Columns are not centered: the propensity model has no intercept, and
 centering would implicitly add one.
 
 select_tau builds one _Path for its whole penalty path: the rescaled
-design, the censoring curves at the observed times, and the (beta, lam) of
-the last successful fit, kept in the internal scale. Each fit starts at
-that beta and dual vector, where the first inner problem is already solved,
-so it costs at most a Newton step. A failed fit leaves them as they were,
-and the beta = 0 fallback starts the dual cold: its outcome does not
-depend on tau. A stand-alone fit_pel builds its own one-tau path.
+design, the censoring curves at the observed times, the (beta, lam) of
+the last successful fit, kept in the internal scale, and a slot for the
+Cholesky factor of the last inner Hessian. Each fit starts at that beta
+and dual vector, where the first inner problem is already solved, so it
+costs at most a Newton step. Every inner solve on the path, whether for a
+line-search candidate, an outer step or a new tau, hands the slot on, so
+the dual mostly moves by chord steps. A failed fit leaves beta and lam as
+they were, and the beta = 0 fallback starts the dual cold: its outcome
+does not depend on tau. A stand-alone fit_pel builds its own one-tau path.
 """
 
 from __future__ import annotations
@@ -55,6 +67,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from .censoring import CensorSurvival
@@ -70,7 +83,7 @@ from .moments import (
 from .scad import ScadParams, lqa_weight, scad_value
 
 _INNER_TOL = 1e-8        # inner stop: max |dual gradient|
-_INNER_MAX_ITER = 100    # inner Newton steps
+_INNER_MAX_ITER = 100    # inner Newton plus chord steps
 _LQA_EPS = 1e-6          # SCAD local quadratic majorization floor
 _ZERO_TOL = 1e-5         # penalized coefficients below this snap to zero
 _MAX_OUTER = 200         # outer steps
@@ -80,13 +93,27 @@ _INIT_RIDGE = 1e-4       # ridge of the logistic fit that starts a path
 
 @dataclass(frozen=True)
 class ELDualState:
-    """Result of one inner dual maximization."""
+    """Result of one inner dual maximization.
+
+    iterations counts the accepted Newton and chord steps, hessians the
+    Hessians formed and factored.
+    """
 
     lam: np.ndarray
     inner_objective: float
     grad_norm: float
     iterations: int
     converged: bool
+    hessians: int = 0
+
+
+class _FactorSlot:
+    """The cho_factor of the last inner Hessian, or None."""
+
+    __slots__ = ("cf",)
+
+    def __init__(self):
+        self.cf = None
 
 
 @dataclass(frozen=True)
@@ -140,8 +167,15 @@ def solve_inner_dual(
     lambda_init=None,
     tol: float = _INNER_TOL,
     max_iter: int = _INNER_MAX_ITER,
+    *,
+    factor: _FactorSlot | None = None,
 ) -> ELDualState:
-    """Damped Newton maximization of the pseudo-log dual objective."""
+    """Chord-Newton maximization of the pseudo-log dual objective.
+
+    factor, when given, holds the Cholesky factor of an earlier Hessian of
+    the same size; the solve may step with it first and leaves the factor
+    of its last fresh Hessian there.
+    """
     g = np.asarray(gmat, dtype=float)
     if g.ndim != 2:
         raise InputError("gmat must be 2-d (rows = observations)")
@@ -163,55 +197,78 @@ def solve_inner_dual(
             vc = float(np.sum(_logstar(zc, eps)))
             if vc > 0.0:
                 lam, z, val = cand.copy(), zc, vc
+    slot = factor if factor is not None else _FactorSlot()
     _, d1, d2 = _logstar(z, eps, derivs=True)
     grad = g.T @ d1
     gnorm = float(np.max(np.abs(grad))) if m else 0.0
     iters = 0
+    hessians = 0
     stalled = False
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            break
-        # -log*'' is 1/z^2 or 1/eps^2, positive on both branches
-        a_mat = _weighted_gram(g, -d2)
-        ridge = 1e-12 * (1.0 + np.trace(a_mat) / m)
-        a_mat[np.diag_indices_from(a_mat)] += ridge
-        try:
-            direction = np.linalg.solve(a_mat, grad)
-        except np.linalg.LinAlgError:
-            direction = np.linalg.lstsq(a_mat, grad, rcond=None)[0]
-        slope = float(grad @ direction)
-        if slope <= 0.0:
-            direction = grad
-            slope = float(grad @ grad)
+    # chord steps run from the first step only, while each one contracts
+    chord = slot.cf is not None and slot.cf[0].shape == (m, m)
+    while iters < max_iter and gnorm > tol:
         # the model improvement for the full step is slope/2; once that is
         # below floating resolution of the objective no line search can
-        # certify progress, so the iterate is numerically optimal
-        if 0.5 * slope <= 8.0 * np.finfo(float).eps * (1.0 + abs(val)):
-            stalled = True
-            break
-        gdir = g @ direction
-        step = 1.0
-        improved = False
-        for _ in range(60):
-            zc = z + step * gdir
-            vc = float(np.sum(_logstar(zc, eps)))
-            if vc >= val + 1e-4 * step * slope:
-                lam, z, val = lam + step * direction, zc, vc
-                improved = True
+        # certify progress
+        floor = 8.0 * np.finfo(float).eps * (1.0 + abs(val))
+        accepted = False
+        if chord:
+            direction = cho_solve(slot.cf, grad, check_finite=False)
+            slope = float(grad @ direction)
+            if 0.5 * slope > floor:
+                zc = z + g @ direction
+                vc = float(np.sum(_logstar(zc, eps)))
+                accepted = vc >= val + 1e-4 * slope
+            chord = accepted
+        if not accepted:
+            # fresh Newton step; -log*'' is 1/z^2 or 1/eps^2, positive on
+            # both branches
+            a_mat = _weighted_gram(g, -d2)
+            ridge = 1e-12 * (1.0 + np.trace(a_mat) / m)
+            a_mat[np.diag_indices_from(a_mat)] += ridge
+            hessians += 1
+            try:
+                slot.cf = cho_factor(a_mat, check_finite=False)
+                direction = cho_solve(slot.cf, grad, check_finite=False)
+            except np.linalg.LinAlgError:
+                slot.cf = None
+                try:
+                    direction = np.linalg.solve(a_mat, grad)
+                except np.linalg.LinAlgError:
+                    direction = np.linalg.lstsq(a_mat, grad, rcond=None)[0]
+            slope = float(grad @ direction)
+            if slope <= 0.0:
+                direction = grad
+                slope = float(grad @ grad)
+            # only the Newton model certifies the iterate numerically optimal
+            if 0.5 * slope <= floor:
+                stalled = True
                 break
-            step *= 0.5
+            gdir = g @ direction
+            step = 1.0
+            for _ in range(60):
+                zc = z + step * gdir
+                vc = float(np.sum(_logstar(zc, eps)))
+                if vc >= val + 1e-4 * step * slope:
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+            direction = step * direction
+        lam, z, val = lam + direction, zc, vc
         iters += 1
-        if not improved:
-            break
         _, d1, d2 = _logstar(z, eps, derivs=True)
         grad = g.T @ d1
-        gnorm = float(np.max(np.abs(grad)))
+        gnorm, last = float(np.max(np.abs(grad))), gnorm
+        chord = chord and gnorm <= 0.5 * last
     return ELDualState(
         lam=lam,
         inner_objective=val,
         grad_norm=gnorm,
         iterations=iters,
         converged=bool(gnorm <= tol or stalled),
+        hessians=hessians,
     )
 
 
@@ -231,7 +288,10 @@ class _Path:
     """One dataset's penalty path: shared arrays and the warm start.
 
     beta and lam are those of the last successful fit, in the internal
-    (rescaled) coordinates; None before the first.
+    (rescaled) coordinates; None before the first. factor holds the
+    Cholesky factor of the last inner Hessian formed on the path, which
+    every inner solve (line-search candidates, outer steps, taus) may
+    step with first.
     """
 
     def __init__(self, data: Dataset, k1, k0, clip: float):
@@ -247,6 +307,7 @@ class _Path:
         self.x = data.x / self.scales
         self.beta = None
         self.lam = None
+        self.factor = _FactorSlot()
 
     def q_eval(self, beta, scad, lam_init=None):
         """(Q, dual state, gmat, slopes) at internal beta.
@@ -257,7 +318,7 @@ class _Path:
         gm, slopes = _gmat_and_slopes(
             beta, self.clip, self.x, self.dvec, self.delta, self.k1y, self.k0y
         )
-        state = solve_inner_dual(gm, lam_init)
+        state = solve_inner_dual(gm, lam_init, factor=self.factor)
         if not state.converged:
             return math.inf, state, gm, slopes
         q = state.inner_objective

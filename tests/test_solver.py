@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 from scipy.optimize import minimize
 
 import survcbps as sc
 from survcbps.scad import ScadParams
-from survcbps.moments import _profile_grad
+from survcbps.moments import _gmat_and_slopes, _profile_grad, _weighted_gram
 from survcbps.solver import (
+    _FactorSlot,
     _logstar,
     _Path,
     default_tau_grid,
@@ -143,6 +145,60 @@ def _toy_path(data):
     k1 = sc.fit_censoring_km(data, 1)
     k0 = sc.fit_censoring_km(data, 0)
     return _Path(data, k1, k0, clip=0.01), k1, k0
+
+
+def _toy_moments(path, beta):
+    return _gmat_and_slopes(
+        beta, path.clip, path.x, path.dvec, path.delta, path.k1y, path.k0y
+    )[0]
+
+
+def test_chord_steps_along_a_beta_sequence_reach_the_newton_optimum(toy_data):
+    path, _, _ = _toy_path(toy_data)
+    start = np.array([0.3, -0.2, 0.1])
+    slot = _FactorSlot()
+    lam = None
+    chained = fresh = 0
+    for t in np.linspace(0.0, 1.0, 8):
+        gm = _toy_moments(path, start * (1.0 - 0.1 * t))
+        state = solve_inner_dual(gm, lam, factor=slot)
+        ref = solve_inner_dual(gm, lam)
+        assert state.converged and ref.converged
+        assert abs(state.inner_objective - ref.inner_objective) <= 1e-10 * (
+            1.0 + abs(ref.inner_objective)
+        )
+        assert slot.cf is not None and slot.cf[0].shape == (gm.shape[1],) * 2
+        chained += state.hessians
+        fresh += ref.hessians
+        lam = state.lam
+    # the shared factor stood in for some of the fresh Hessians
+    assert chained < fresh
+
+
+def test_a_stale_factor_is_refreshed(toy_data):
+    path, _, _ = _toy_path(toy_data)
+    gm = _toy_moments(path, np.array([0.3, -0.2, 0.1]))
+    m = gm.shape[1]
+    ref = solve_inner_dual(gm)
+    # -log*'' is 1 at lam = 0, so these are Hessians of the scaled matrix:
+    # x100 makes the chord step tiny, /100 makes it overshoot and fail,
+    # and x1e10 puts its model gain below the resolution of the objective,
+    # which must not pass for a stall
+    scaled = [
+        cho_factor(_weighted_gram(c * gm, np.ones(gm.shape[0])))
+        for c in (100.0, 0.01, 1e10)
+    ]
+    for cf in [cho_factor(np.eye(m + 1)), *scaled]:
+        slot = _FactorSlot()
+        slot.cf = cf
+        state = solve_inner_dual(gm, factor=slot)
+        assert state.converged
+        assert state.hessians >= 1
+        assert abs(state.inner_objective - ref.inner_objective) <= 1e-10 * (
+            1.0 + abs(ref.inner_objective)
+        )
+        np.testing.assert_allclose(state.lam, ref.lam, atol=1e-6)
+        assert slot.cf[0].shape == (m, m)
 
 
 def test_path_q_eval_composes_inner_and_penalty(toy_data):
@@ -353,6 +409,24 @@ def test_select_tau_inner_call_budget(toy_data, monkeypatch):
     inner = _count_calls(monkeypatch, "solve_inner_dual")
     select_tau(toy_data, k1, k0)
     assert len(inner) < 150
+
+
+def test_select_tau_inner_hessian_budget(toy_data, monkeypatch):
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    grams = _count_calls(monkeypatch, "_weighted_gram")
+    states = []
+    real = solve_inner_dual
+
+    def inner(*args, **kwargs):
+        states.append(real(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr("survcbps.solver.solve_inner_dual", inner)
+    select_tau(toy_data, k1, k0)
+    # a fresh Hessian at every Newton step took 92
+    assert len(grams) < 46
+    assert sum(state.hessians for state in states) == len(grams)
 
 
 def test_select_tau_fails_fast_when_the_start_is_infeasible(monkeypatch):

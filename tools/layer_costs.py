@@ -1,0 +1,105 @@
+"""Cost of the inner EL dual inside select_tau and ate_with_ci, per size.
+
+    python3 tools/layer_costs.py [--src DIR] [--sizes 300x20,2000x100]
+                                 [--seed 7] [--reps 0,1] [--passes 2]
+
+For each n x p size and replication k, draws `SimConfig(n, p, seed)`
+replication k, fits both censoring curves, and times `select_tau` and
+`ate_with_ci` (the fastest of --passes passes is kept). It counts the
+inner dual calls and their Newton plus chord steps by wrapping
+`solver.solve_inner_dual`, and the inner Hessians by wrapping
+`solver._weighted_gram`, which only the inner dual calls. A failing path is
+reported with its error and time. --src picks the package tree, so two
+checkouts can be compared on one machine; BLAS runs on one thread. Prints
+one JSON document.
+"""
+
+import os
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def wrap_counts(solver, counts):
+    """Replace the solver's call-time names by counting wrappers; returns
+    the function that puts the originals back."""
+    gram, inner = solver._weighted_gram, solver.solve_inner_dual
+
+    def hessian(*args):
+        counts["hessians"] += 1
+        return gram(*args)
+
+    def dual(*args, **kwargs):
+        state = inner(*args, **kwargs)
+        counts["inner_calls"] += 1
+        counts["steps"] += state.iterations
+        return state
+
+    solver._weighted_gram, solver.solve_inner_dual = hessian, dual
+
+    def restore():
+        solver._weighted_gram, solver.solve_inner_dual = gram, inner
+
+    return restore
+
+
+def one_size(sc, solver, n, p, seed, rep, passes):
+    data, _ = sc.generate_dataset(sc.SimConfig(n=n, p=p, seed=seed), rep)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    out = {"n": n, "p": p, "seed": seed, "rep": rep}
+    tau_s, ate_s = [], []
+    for _ in range(passes):
+        counts = {"hessians": 0, "inner_calls": 0, "steps": 0}
+        restore = wrap_counts(solver, counts)
+        t0 = time.perf_counter()
+        try:
+            tau, fit = solver.select_tau(data, k1, k0)
+        except sc.SurvCbpsError as exc:
+            out["error"] = f"{type(exc).__name__}: {exc}"
+            continue
+        finally:
+            tau_s.append(time.perf_counter() - t0)
+            restore()
+        t1 = time.perf_counter()
+        res = sc.ate_with_ci(data, fit, k1, k0)
+        ate_s.append(time.perf_counter() - t1)
+        out.update(tau=tau, active_set=fit.active_set.tolist(),
+                   converged=fit.converged, ate=res.ate, se=res.se)
+    out.update(counts, select_tau_s=min(tau_s))
+    if ate_s:
+        out["ate_with_ci_s"] = min(ate_s)
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--sizes", default="300x20,2000x100")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--reps", default="0")
+    parser.add_argument("--passes", type=int, default=2)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import survcbps as sc
+    from survcbps import solver
+
+    rows = []
+    for size in args.sizes.split(","):
+        n, p = (int(v) for v in size.split("x"))
+        for rep in (int(v) for v in args.reps.split(",")):
+            rows.append(one_size(sc, solver, n, p, args.seed, rep, args.passes))
+    print(json.dumps({"src": args.src, "rows": rows}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
