@@ -19,7 +19,11 @@ main estimator:
 
 Naive IPW and AIPW report nonparametric-bootstrap standard errors (the
 whole pipeline, censoring curves included, is refitted on each resample)
-with normal-approximation intervals.
+with normal-approximation intervals. Both go through one front end,
+``_fit_baseline``, and differ only in their count-weighted point step. The
+full-sample estimate is that step on one row of counts, all ones, with the
+propensity from the same Newton logistic fit (``moments._logistic_mle``)
+that the solver's path start and every resample use.
 
 The bootstrap works on counts. Resample b draws its n row indices with one
 ``integers(0, n, n)`` call, exactly as drawing rows would, and is kept as a
@@ -32,12 +36,13 @@ those fitted to resampled copies, and everything else agrees with refitting
 each copy up to the order of floating-point sums. A block holds
 ``max(1, 2**16 // max(n, q**2))`` resamples (q = p + 1), so each of its
 (block x n) arrays and its (block x q x q) Hessian stack holds about 2**16
-floats.
+floats. The bootstrap's ``_Design`` forms its stack of row outer products
+at the first block of more than one resample (when n q <= 2**16); the
+full-sample design only ever sees one row and never forms it.
 """
 
 from __future__ import annotations
 
-import math
 import warnings as _warnings
 from functools import partial
 
@@ -49,93 +54,14 @@ from .data import Dataset
 from .errors import DegenerateArmError, InputError
 from .inference import (
     ATEResult,
-    _hajek_means,
     _ipcw_weight_arrays,
     _kish,
+    _normalized_from_pi,
     ate_with_ci,
     weighted_median,
 )
+from .moments import _BLOCK_FLOATS, _Design, _logistic_mle, _solve
 from .solver import FitOptions, fit_pel
-
-
-# A block of resamples is processed at once. Its (block x n) arrays and its
-# (block x q x q) Hessian stack each hold at most about this many floats.
-_BLOCK_FLOATS = 1 << 16
-
-
-class _Design:
-    """Design matrix ``x`` (constant included) with a stacked weighted Gram.
-
-    ``gram(w)`` is ``x.T @ diag(w[b]) @ x`` for every row b of ``w``. When
-    the row outer products take no more memory than q block arrays
-    (n q <= 2^16), it is one product with them; otherwise one product per row
-    of ``w``, which keeps memory at O(n q) for wide designs.
-    """
-
-    def __init__(self, x):
-        self.x = x
-        n, q = x.shape
-        self._outer = (
-            (x[:, :, None] * x[:, None, :]).reshape(n, q * q)
-            if n * q <= _BLOCK_FLOATS else None
-        )
-
-    def gram(self, w):
-        x, q = self.x, self.x.shape[1]
-        if self._outer is None:
-            return np.array([x.T @ (wb[:, None] * x) for wb in w]).reshape(-1, q, q)
-        return (w @ self._outer).reshape(-1, q, q)
-
-
-def _solve(a, b, fallback):
-    """Solve each system ``a[k] x = b[k]`` of a stack.
-
-    A singular system alone in its stack takes ``fallback(a[0], b[0])``. In a
-    larger stack ``LinAlgError`` propagates, and ``_bootstrap`` refits that
-    block one resample at a time, so every resample gets its own fallback.
-    """
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if a.shape[0] > 1:
-            raise
-        return fallback(a[0], b[0])[None]
-
-
-def _lstsq(a, b):
-    return np.linalg.lstsq(a, b, rcond=None)[0]
-
-
-def _logistic_mle(design, d, counts, ridge=1e-6, max_iter=100, tol=1e-10):
-    """Logistic regression by Newton iteration from beta = 0, one fit per row of counts.
-
-    ``counts[b, i]`` is how often row i of ``design.x`` enters fit b. Each fit
-    is frozen after its own first step with max |step| <= tol. ``clean[b]``
-    says fit b converged to a finite beta with |x beta| <= 30 on every row it
-    counts.
-    """
-    x = design.x
-    nb, q = counts.shape[0], x.shape[1]
-    beta = np.zeros((nb, q))
-    converged = np.zeros(nb, dtype=bool)
-    live = np.arange(nb)
-    diag = np.arange(q)
-    for _ in range(max_iter):
-        c, b = counts[live], beta[live]
-        prob = expit(b @ x.T)
-        grad = (c * (d - prob)) @ x - ridge * b
-        hess = design.gram(c * (prob * (1.0 - prob) + 1e-12))
-        hess[:, diag, diag] += ridge + 1e-12
-        step = _solve(hess, grad, _lstsq)
-        beta[live] = b + step
-        done = np.max(np.abs(step), axis=1) <= tol
-        converged[live[done]] = True
-        live = live[~done]
-        if live.size == 0:
-            break
-    reach = np.where(counts > 0, np.abs(beta @ x.T), 0.0).max(axis=1)
-    clean = converged & np.all(np.isfinite(beta), axis=1) & (reach <= 30)
-    return beta, clean
 
 
 def _propensity(design, d, counts, clip):
@@ -145,13 +71,6 @@ def _propensity(design, d, counts, clip):
         # likely separation; refit with a stronger ridge
         beta[~clean] = _logistic_mle(design, d, counts[~clean], ridge=1e-2)[0]
     return np.clip(expit(beta @ design.x.T), clip, 1.0 - clip), clean
-
-
-def _naive_propensity(x, d, clip):
-    """Full-sample propensities: the one-row case of ``_propensity``."""
-    design = _Design(np.column_stack((np.ones(x.shape[0]), x)))
-    pi, clean = _propensity(design, d, np.ones((1, x.shape[0])), clip)
-    return pi[0], bool(clean[0])
 
 
 def _ipw_means(c, y, delta, d, design, pi, kdy):
@@ -272,12 +191,53 @@ def _bootstrap(data, y, delta, d, point_fn, *, ate, level, clip, floors,
     return se, (ate - z * se, ate + z * se)
 
 
-def _medians_from_pi(y, d, pi):
-    raw1 = d / pi
-    raw0 = (1.0 - d) / (1.0 - pi)
-    med1 = weighted_median(y, raw1 / raw1.sum())
-    med0 = weighted_median(y, raw0 / raw0.sum())
-    return med1, med0
+def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
+    """Full-sample estimate, bootstrap SE and CI, and medians of a baseline.
+
+    The full-sample estimate is ``point_fn`` on one row of counts, the case
+    each bootstrap resample runs. One ``_Design`` serves its logistic
+    propensity and its point step. Warnings of the full-sample point step
+    become notes; those of the resamples are dropped.
+    """
+    notes = []
+    if data.n <= data.p:
+        notes.append("n <= p: logistic MLE is unstable, ridge 1e-6 applied")
+    y = data.y
+    delta = data.delta.astype(float)
+    d = data.d.astype(float)
+    k1y, k0y = k1.evaluate(y), k0.evaluate(y)
+    design = _Design(np.column_stack((np.ones(data.n), data.x)))
+    ones = np.ones((1, data.n))
+    pi, clean = _propensity(design, d, ones, clip)
+    if not clean[0]:
+        notes.append("separation detected; propensity refit with ridge 1e-2")
+    kdy = np.where(d == 1, k1y, k0y)
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        mu1, mu0, ok = point_fn(ones, y, delta, d, design, pi, kdy[None])
+    notes.extend(str(w.message) for w in caught)
+    if not ok[0]:
+        raise DegenerateArmError("an arm is too small for the point estimate")
+    mu1, mu0 = float(mu1[0]), float(mu0[0])
+    ate = mu1 - mu0
+
+    with _warnings.catch_warnings():
+        _warnings.simplefilter("ignore")
+        se, (lo, hi) = _bootstrap(
+            data, y, delta, d, point_fn,
+            ate=ate, level=level, clip=clip, floors=(k0.floor, k1.floor),
+            n_boot=n_boot, stream=stream, notes=notes,
+        )
+    pi = pi[0]
+    w1n, w0n = _normalized_from_pi(d, pi)
+    med1, med0 = weighted_median(y, w1n), weighted_median(y, w0n)
+    w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)
+    return ATEResult(
+        mu1=mu1, mu0=mu0, ate=ate, se=se, ci_low=lo, ci_high=hi,
+        median1=med1, median0=med0, median_diff=med1 - med0,
+        n_effective_1=_kish(w1), n_effective_0=_kish(w0),
+        warnings=tuple(notes), level=level,
+    )
 
 
 def fit_naive_ipw(
@@ -290,31 +250,9 @@ def fit_naive_ipw(
     seed: int = 0,
 ) -> ATEResult:
     """Censoring-adjusted IPW with an unregularized logistic propensity."""
-    notes = []
-    if data.n <= data.p:
-        notes.append("n <= p: logistic MLE is unstable, ridge 1e-6 applied")
-    y = data.y
-    delta = data.delta.astype(float)
-    d = data.d.astype(float)
-    k1y, k0y = k1.evaluate(y), k0.evaluate(y)
-    pi, clean = _naive_propensity(data.x, d, clip)
-    if not clean:
-        notes.append("separation detected; propensity refit with ridge 1e-2")
-    w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)
-    mu1, mu0 = _hajek_means(y, w1, w0)
-    ate = mu1 - mu0
-
-    se, (lo, hi) = _bootstrap(
-        data, y, delta, d, _ipw_means,
-        ate=ate, level=level, clip=clip, floors=(k0.floor, k1.floor),
-        n_boot=n_boot, stream=(seed, 0x1F), notes=notes,
-    )
-    med1, med0 = _medians_from_pi(y, d, pi)
-    return ATEResult(
-        mu1=mu1, mu0=mu0, ate=ate, se=se, ci_low=lo, ci_high=hi,
-        median1=med1, median0=med0, median_diff=med1 - med0,
-        n_effective_1=_kish(w1), n_effective_0=_kish(w0),
-        warnings=tuple(notes), level=level,
+    return _fit_baseline(
+        data, k1, k0, _ipw_means,
+        clip=clip, level=level, n_boot=n_boot, stream=(seed, 0x1F),
     )
 
 
@@ -345,43 +283,7 @@ def fit_aipw(
     """Augmented IPW with censoring-transformed linear outcome regressions."""
     if outcome_model not in ("linear", "zero"):
         raise InputError("outcome_model must be 'linear' or 'zero'")
-    notes = []
-    if data.n <= data.p:
-        notes.append("n <= p: logistic MLE is unstable, ridge 1e-6 applied")
-    y = data.y
-    delta = data.delta.astype(float)
-    d = data.d.astype(float)
-    k1y, k0y = k1.evaluate(y), k0.evaluate(y)
-    pi, clean = _naive_propensity(data.x, d, clip)
-    if not clean:
-        notes.append("separation detected; propensity refit with ridge 1e-2")
-    point = partial(_aipw_means, outcome_model=outcome_model)
-    design = _Design(np.column_stack((np.ones(data.n), data.x)))
-    kdy = np.where(d == 1, k1y, k0y)
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        mu1, mu0, ok = point(
-            np.ones((1, data.n)), y, delta, d, design, pi[None], kdy[None]
-        )
-    notes.extend(str(w.message) for w in caught)
-    if not ok[0]:
-        raise DegenerateArmError("an arm is too small for outcome regression")
-    mu1, mu0 = float(mu1[0]), float(mu0[0])
-    ate = mu1 - mu0
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        se, (lo, hi) = _bootstrap(
-            data, y, delta, d, point,
-            ate=ate, level=level, clip=clip, floors=(k0.floor, k1.floor),
-            n_boot=n_boot, stream=(seed, 0x2F), notes=notes,
-        )
-    med1, med0 = _medians_from_pi(y, d, pi)
-    w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)
-    return ATEResult(
-        mu1=mu1, mu0=mu0, ate=ate, se=se, ci_low=lo, ci_high=hi,
-        median1=med1, median0=med0, median_diff=med1 - med0,
-        n_effective_1=_kish(w1), n_effective_0=_kish(w0),
-        warnings=tuple(notes), level=level,
+    return _fit_baseline(
+        data, k1, k0, partial(_aipw_means, outcome_model=outcome_model),
+        clip=clip, level=level, n_boot=n_boot, stream=(seed, 0x2F),
     )
-

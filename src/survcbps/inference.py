@@ -15,8 +15,14 @@ Two standard errors are computed:
 ``se_propensity``
     the delta-method term through the fitted coefficients only,
     sqrt(grad_h' Sigma grad_h / n), with Sigma the sandwich covariance of
-    the active coefficients and grad_h the finite-difference gradient of
-    the ATE map.
+    the active coefficients and grad_h the closed-form gradient of the ATE
+    map. It takes the slopes dc1, dc0 of the IPCW weights in x' beta from
+    the same row pass (``moments._row_pieces``) that gives pi:
+
+        grad_h = X_A' (dc1 (Y - mu1) / sum w1 - dc0 (Y - mu0) / sum w0),
+
+    where rows whose propensity is clipped have zero slope, as in the
+    moment Jacobian.
 
 ``se``
     the full first-order influence-function standard error. It adds the
@@ -41,7 +47,9 @@ from scipy.special import ndtri
 from .censoring import CensorSurvival
 from .data import Dataset
 from .errors import DegenerateArmError, InputError, SingularMatrixError
-from .moments import PropensityParams, jacobian_g, propensity, stack_g
+from .moments import (
+    PropensityParams, _row_pieces, jacobian_g, propensity, stack_g,
+)
 from .solver import PELFit
 
 
@@ -118,16 +126,19 @@ def ipcw_ipw_means(
     return _hajek_means(data.y, w1, w0)
 
 
-def normalized_weights(data: Dataset, params: PropensityParams):
-    """Self-normalized inverse propensity weights (W1, W0), each summing to 1."""
-    pi = propensity(params, data.x)
-    d = data.d.astype(float)
+def _normalized_from_pi(d, pi):
+    """(W1, W0) of ``normalized_weights`` from treatment d and propensities pi."""
     raw1 = d / pi
     raw0 = (1.0 - d) / (1.0 - pi)
     s1, s0 = raw1.sum(), raw0.sum()
     if s1 <= 0 or s0 <= 0:
         raise DegenerateArmError("an arm has zero total inverse propensity weight")
     return raw1 / s1, raw0 / s0
+
+
+def normalized_weights(data: Dataset, params: PropensityParams):
+    """Self-normalized inverse propensity weights (W1, W0), each summing to 1."""
+    return _normalized_from_pi(data.d.astype(float), propensity(params, data.x))
 
 
 def weighted_median(y, w) -> float:
@@ -184,20 +195,12 @@ def _sandwich_pieces(fit: PELFit, data: Dataset, k1, k0):
     return sigma, g1, vhat, gmat, notes
 
 
-def _means_at_beta(beta, fit, data, k1y, k0y, dvec, delta):
-    pi_params = PropensityParams(beta=beta, clip=fit.clip)
-    pi = propensity(pi_params, data.x)
-    w1, w0 = _ipcw_weight_arrays(data.y, delta, dvec, pi, k1y, k0y)
-    return _hajek_means(data.y, w1, w0)
-
-
 def ate_with_ci(
     data: Dataset,
     fit: PELFit,
     k1: CensorSurvival,
     k0: CensorSurvival,
     level: float = 0.95,
-    h_scale: float = 1e-5,
 ) -> ATEResult:
     """Point estimate, standard errors, confidence interval and medians."""
     if not 0.0 < level < 1.0:
@@ -205,35 +208,27 @@ def ate_with_ci(
     notes = []
     if not fit.converged:
         notes.append("propensity fit did not converge; inference is approximate")
+    y = data.y
     dvec = data.d.astype(float)
     delta = data.delta.astype(float)
-    k1y = k1.evaluate(data.y)
-    k0y = k0.evaluate(data.y)
+    k1y = k1.evaluate(y)
+    k0y = k0.evaluate(y)
     n = data.n
 
-    pi = propensity(fit.params, data.x)
-    w1, w0 = _ipcw_weight_arrays(data.y, delta, dvec, pi, k1y, k0y)
-    mu1, mu0 = _hajek_means(data.y, w1, w0)
+    pi, *_, dc1, dc0 = _row_pieces(
+        fit.params.beta, fit.params.clip, data.x, dvec, delta, k1y, k0y
+    )
+    w1, w0 = _ipcw_weight_arrays(y, delta, dvec, pi, k1y, k0y)
+    mu1, mu0 = _hajek_means(y, w1, w0)
     ate = mu1 - mu0
 
+    # phi is the influence of the Hajek means at fixed pi; grad_h is the
+    # derivative of the same sums, with the weight slopes in place of w
+    r1 = (y - mu1) / float(w1.sum())
+    r0 = (y - mu0) / float(w0.sum())
+    phi = w1 * r1 - w0 * r0
     active = np.asarray(fit.active_set, dtype=int)
-    beta = fit.beta_hat
-
-    # finite-difference gradient of the ATE map over active coefficients
-    grad_h = np.zeros(active.size)
-    for pos, j in enumerate(active):
-        h_j = h_scale * (1.0 + abs(beta[j]))
-        up = beta.copy()
-        up[j] += h_j
-        dn = beta.copy()
-        dn[j] -= h_j
-        m1u, m0u = _means_at_beta(up, fit, data, k1y, k0y, dvec, delta)
-        m1d, m0d = _means_at_beta(dn, fit, data, k1y, k0y, dvec, delta)
-        grad_h[pos] = ((m1u - m0u) - (m1d - m0d)) / (2.0 * h_j)
-
-    den1 = float(w1.sum()) / n
-    den0 = float(w0.sum()) / n
-    phi = w1 * (data.y - mu1) / (n * den1) - w0 * (data.y - mu0) / (n * den0)
+    grad_h = data.x[:, active].T @ (dc1 * r1 - dc0 * r0)
 
     if active.size:
         with _warnings.catch_warnings(record=True) as caught:
@@ -254,9 +249,9 @@ def ate_with_ci(
     se = math.sqrt(float(infl @ infl))
     z = float(ndtri(0.5 + level / 2.0))
 
-    w1n, w0n = normalized_weights(data, fit.params)
-    med1 = weighted_median(data.y, w1n)
-    med0 = weighted_median(data.y, w0n)
+    w1n, w0n = _normalized_from_pi(dvec, pi)
+    med1 = weighted_median(y, w1n)
+    med0 = weighted_median(y, w0n)
 
     return ATEResult(
         mu1=mu1,

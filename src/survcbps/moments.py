@@ -14,6 +14,12 @@ calibration rows pin the total inverse-probability mass in each arm.
 
 No intercept column is added implicitly; callers who want one must include
 a constant covariate.
+
+The module also holds the one Newton logistic fit, ``_logistic_mle``: one
+fit per row of counts over a ``_Design``. The solver's path start and the
+baselines' full-sample propensity are its one-row case; the bootstrap runs
+it on blocks of resamples. A design forms its stack of row outer products
+lazily, at its first Gram of more than one row, so a one-row fit never does.
 """
 
 from __future__ import annotations
@@ -104,6 +110,89 @@ def _weighted_gram(x, w):
     """
     h = np.sqrt(w)[:, None] * x
     return h.T @ h
+
+
+# A block of bootstrap resamples is processed at once. Its (block x n) arrays
+# and its (block x q x q) Hessian stack each hold at most about this many
+# floats, and so does a design's stack of row outer products.
+_BLOCK_FLOATS = 1 << 16
+
+
+class _Design:
+    """Design matrix ``x`` with a stacked weighted Gram.
+
+    ``gram(w)`` is ``x.T @ diag(w[b]) @ x`` for every row b of ``w >= 0``.
+    The first call with more than one row forms the n x q^2 row outer
+    products when they take no more memory than q block arrays
+    (n q <= 2^16), and every later call is one product with them. Until
+    then, and always for a wider design, each row takes one
+    ``_weighted_gram``, which keeps memory at O(n q).
+    """
+
+    def __init__(self, x):
+        self.x = x
+        self._outer = None
+
+    def gram(self, w):
+        x = self.x
+        n, q = x.shape
+        if self._outer is None and w.shape[0] > 1 and n * q <= _BLOCK_FLOATS:
+            self._outer = (x[:, :, None] * x[:, None, :]).reshape(n, q * q)
+        if self._outer is None:
+            return np.array([_weighted_gram(x, wb) for wb in w]).reshape(-1, q, q)
+        return (w @ self._outer).reshape(-1, q, q)
+
+
+def _solve(a, b, fallback):
+    """Solve each system ``a[k] x = b[k]`` of a stack.
+
+    A singular system alone in its stack takes ``fallback(a[0], b[0])``. In a
+    larger stack ``LinAlgError`` propagates, and the baseline bootstrap refits
+    that block one resample at a time, so every resample gets its own
+    fallback.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if a.shape[0] > 1:
+            raise
+        return fallback(a[0], b[0])[None]
+
+
+def _lstsq(a, b):
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _logistic_mle(design, d, counts, ridge=1e-6, max_iter=100, tol=1e-10):
+    """Logistic regression by Newton iteration from beta = 0, one fit per row of counts.
+
+    ``counts[b, i]`` is how often row i of ``design.x`` enters fit b. Each fit
+    is frozen after its own first step with max |step| <= tol. ``clean[b]``
+    says fit b converged to a finite beta with |x beta| <= 30 on every row it
+    counts.
+    """
+    x = design.x
+    nb, q = counts.shape[0], x.shape[1]
+    beta = np.zeros((nb, q))
+    converged = np.zeros(nb, dtype=bool)
+    live = np.arange(nb)
+    diag = np.arange(q)
+    for _ in range(max_iter):
+        c, b = counts[live], beta[live]
+        prob = expit(b @ x.T)
+        grad = (c * (d - prob)) @ x - ridge * b
+        hess = design.gram(c * (prob * (1.0 - prob) + 1e-12))
+        hess[:, diag, diag] += ridge + 1e-12
+        step = _solve(hess, grad, _lstsq)
+        beta[live] = b + step
+        done = np.max(np.abs(step), axis=1) <= tol
+        converged[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
+            break
+    reach = np.where(counts > 0, np.abs(beta @ x.T), 0.0).max(axis=1)
+    clean = converged & np.all(np.isfinite(beta), axis=1) & (reach <= 30)
+    return beta, clean
 
 
 def _mean_jacobian(x, slopes):

@@ -59,6 +59,9 @@ line-search candidate, an outer step or a new tau, hands the slot on, so
 the dual mostly moves by chord steps. A failed fit leaves beta and lam as
 they were, and the beta = 0 fallback starts the dual cold: its outcome
 does not depend on tau. A stand-alone fit_pel builds its own one-tau path.
+The first fit on a path starts at the one-row case of the shared Newton
+logistic fit, moments._logistic_mle, with ridge 1e-4 (beta = 0 if that is
+not finite).
 """
 
 from __future__ import annotations
@@ -68,14 +71,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
 
 from .censoring import CensorSurvival
 from .data import Dataset
 from .errors import FitError, InputError, SelectionError
 from .moments import (
     PropensityParams,
+    _Design,
     _gmat_and_slopes,
+    _logistic_mle,
     _mean_jacobian,
     _profile_grad,
     _weighted_gram,
@@ -327,28 +331,6 @@ class _Path:
         return q, state, gm, slopes
 
 
-def _ridge_logistic(x, d, ridge, max_iter=50, tol=1e-8):
-    """No-intercept logistic regression with an L2 proximal term."""
-    n, p = x.shape
-    beta = np.zeros(p)
-    for _ in range(max_iter):
-        prob = expit(x @ beta)
-        grad = x.T @ (d - prob) - ridge * beta
-        w = prob * (1.0 - prob) + 1e-10
-        hess = x.T @ (w[:, None] * x)
-        hess[np.diag_indices_from(hess)] += ridge + 1e-10
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        beta = beta + step
-        if np.max(np.abs(step)) <= tol:
-            break
-    if not np.all(np.isfinite(beta)):
-        beta = np.zeros(p)
-    return beta
-
-
 def fit_pel(
     data: Dataset,
     k1: CensorSurvival,
@@ -369,7 +351,11 @@ def fit_pel(
     zero_tol = _ZERO_TOL if scad is not None else 0.0
 
     if path.beta is None:
-        beta = _ridge_logistic(path.x, path.dvec, _INIT_RIDGE)
+        beta = _logistic_mle(
+            _Design(path.x), path.dvec, np.ones((1, n)), ridge=_INIT_RIDGE
+        )[0][0]
+        if not np.all(np.isfinite(beta)):
+            beta = np.zeros(p)
     else:
         beta = path.beta
     q_cur, state, gm, slopes = path.q_eval(beta, scad, path.lam)

@@ -3,14 +3,10 @@ import pytest
 from scipy.special import expit, ndtri
 
 import survcbps as sc
-from survcbps.baselines import (
-    _Design,
-    fit_aipw,
-    fit_cbps_unpenalized,
-    fit_naive_ipw,
-)
+from survcbps.baselines import fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
 from survcbps.censoring import CensorSurvival
 from survcbps.inference import _hajek_means, _ipcw_weight_arrays, ate_with_ci
+from survcbps.moments import _Design
 from survcbps.solver import FitOptions, fit_pel
 from tests.conftest import small_dataset
 
@@ -210,9 +206,7 @@ def test_aipw_zero_outcome_model_reduces_to_unnormalized_ipw(arms):
     """With m identically 0 the AIPW means are the unnormalized IPW means."""
     data, k1, k0 = arms
     res = fit_aipw(data, k1, k0, n_boot=25, seed=3, outcome_model="zero")
-    from survcbps.baselines import _naive_propensity
-
-    pi, _ = _naive_propensity(data.x, data.d.astype(float), 0.01)
+    pi, _ = reference_propensity(data.x, data.d.astype(float), 0.01)
     delta = data.delta.astype(float)
     d = data.d.astype(float)
     k1y, k0y = k1.evaluate(data.y), k0.evaluate(data.y)
@@ -292,14 +286,29 @@ def test_bootstrap_uses_each_arms_floor(arms):
 
 @pytest.mark.parametrize("n, q", [(40, 3), (2200, 31)])
 def test_design_gram_both_layouts(n, q):
-    """Outer-product and per-row Gram stacks equal the explicit products."""
+    """Outer-product and per-row Gram stacks equal the explicit products.
+
+    The outer-product stack is formed at the first Gram of more than one
+    row, and only for n q <= 2^16; a design given only one row never forms it.
+    """
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, q))
     w = rng.integers(0, 3, (4, n)).astype(float)
-    design = _Design(x)
-    assert (design._outer is None) == (n * q > 2 ** 16)
     expected = np.einsum("ni,bn,nj->bij", x, w, x)
+    single = _Design(x)
+    for row in range(4):
+        np.testing.assert_allclose(
+            single.gram(w[row:row + 1]), expected[row:row + 1],
+            rtol=1e-12, atol=1e-9,
+        )
+    assert single._outer is None
+    design = _Design(x)
+    assert design._outer is None
     np.testing.assert_allclose(design.gram(w), expected, rtol=1e-12, atol=1e-9)
+    assert (design._outer is None) == (n * q > 2 ** 16)
+    np.testing.assert_allclose(
+        design.gram(w[1:2]), expected[1:2], rtol=1e-12, atol=1e-9
+    )
     assert design.gram(w[:0]).shape == (0, q, q)
 
 

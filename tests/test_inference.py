@@ -92,14 +92,48 @@ def test_ci_level_changes_width(toy_data):
         ate_with_ci(toy_data, fit, k1, k0, level=1.0)
 
 
-def test_se_stable_under_fd_step_halving(toy_data):
-    fit, k1, k0 = _fitted(toy_data)
-    res_a = ate_with_ci(toy_data, fit, k1, k0, h_scale=1e-5)
-    res_b = ate_with_ci(toy_data, fit, k1, k0, h_scale=5e-6)
-    assert abs(res_a.se - res_b.se) <= 0.01 * res_a.se
-    assert abs(res_a.se_propensity - res_b.se_propensity) <= max(
-        0.01 * res_a.se_propensity, 1e-12
-    )
+@pytest.fixture(scope="module")
+def sim300():
+    data, _ = sc.generate_dataset(sc.SimConfig(n=300, p=20, seed=1), 0)
+    return data, sc.fit_censoring_km(data, 1), sc.fit_censoring_km(data, 0)
+
+
+@pytest.mark.parametrize("clip", [0.01, 0.2, 0.25, 0.3])
+def test_closed_form_ate_gradient_matches_central_differences(sim300, clip):
+    """se_propensity equals sqrt(g' Sigma g / n) with g by central differences.
+
+    g is the central difference of the public Hajek means at beta +- h e_j,
+    h = 1e-5 (1 + |beta_j|). From clip 0.2 on, 99 to 247 of the 300 rows are
+    clipped and contribute zero slope.
+    """
+    data, k1, k0 = sim300
+    fit = fit_pel(data, k1, k0, sc.ScadParams(lam=0.05), FitOptions(clip=clip))
+    res = ate_with_ci(data, fit, k1, k0)
+    beta, active = fit.beta_hat, fit.active_set
+    steps = 1e-5 * (1.0 + np.abs(beta[active]))
+    # the oracle holds only where no uncensored row's propensity crosses a
+    # clip bound within one difference step
+    events = data.x[data.delta == 1]
+    reach = np.max(np.abs(events[:, active]) * steps, axis=1)
+    bounds = np.log(np.array([clip, 1.0 - clip]) / np.array([1.0 - clip, clip]))
+    assert np.all(np.abs((events @ beta)[:, None] - bounds).min(axis=1) > reach)
+    clipped = np.count_nonzero(np.abs(data.x @ beta) >= bounds[1])
+    assert (clipped > 90) == (clip >= 0.2)
+
+    grad = np.empty(active.size)
+    for pos, (j, h) in enumerate(zip(active, steps)):
+        means = []
+        for sign in (1.0, -1.0):
+            shifted = beta.copy()
+            shifted[j] += sign * h
+            mu1, mu0 = ipcw_ipw_means(
+                data, PropensityParams(shifted, clip=clip), k1, k0
+            )
+            means.append(mu1 - mu0)
+        grad[pos] = (means[0] - means[1]) / (2.0 * h)
+    sigma = _sandwich_pieces(fit, data, k1, k0)[0]
+    oracle = np.sqrt(grad @ sigma @ grad / data.n)
+    assert res.se_propensity == pytest.approx(oracle, rel=1e-6)
 
 
 def test_sandwich_matches_direct_inverse():

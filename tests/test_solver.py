@@ -363,6 +363,38 @@ def test_beta_init_round_trip(toy_data):
     np.testing.assert_array_equal(again.active_set, first.active_set)
 
 
+def oracle_ridge_logistic(x, d, ridge, max_iter=50, tol=1e-8):
+    """No-intercept ridge logistic regression by plain Newton iteration."""
+    beta = np.zeros(x.shape[1])
+    for _ in range(max_iter):
+        prob = 1.0 / (1.0 + np.exp(-(x @ beta)))
+        grad = x.T @ (d - prob) - ridge * beta
+        hess = x.T @ ((prob * (1.0 - prob) + 1e-10)[:, None] * x)
+        hess[np.diag_indices_from(hess)] += ridge + 1e-10
+        step = np.linalg.solve(hess, grad)
+        beta = beta + step
+        if np.max(np.abs(step)) <= tol:
+            break
+    return beta
+
+
+def test_path_starts_at_the_ridge_logistic_fit(toy_data, monkeypatch):
+    """A fresh path's first beta is the ridge-1e-4 logistic fit of d on x."""
+    path, k1, k0 = _toy_path(toy_data)
+    real = _Path.q_eval
+    starts = []
+
+    def spy(self, beta, *args, **kwargs):
+        starts.append(np.array(beta))
+        return real(self, beta, *args, **kwargs)
+
+    monkeypatch.setattr(_Path, "q_eval", spy)
+    fit_pel(toy_data, k1, k0, None, _path=path)
+    expected = oracle_ridge_logistic(path.x, path.dvec, 1e-4)
+    assert np.max(np.abs(expected)) > 0.1
+    np.testing.assert_allclose(starts[0], expected, rtol=0, atol=1e-6)
+
+
 def test_failed_fit_leaves_the_warm_start_as_it_was(toy_data, monkeypatch):
     from survcbps import solver
 
