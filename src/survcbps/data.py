@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +126,41 @@ def _parse_cell(token: str, row: int, column: str) -> float:
     return value
 
 
+def _check_value(k: int, value: float, row: int, names) -> None:
+    """The value rules of logical column k: y >= 0, delta and d in {0, 1}."""
+    if k == 0 and value < 0:
+        raise RowParseError(row, names[0], f"negative time: {value}")
+    if k in (1, 2) and value not in (0.0, 1.0):
+        raise RowParseError(row, names[k], f"must be 0 or 1, got {value}")
+
+
+def _check_row(cells, row: int, names) -> list:
+    """One row's values by the per-cell rules, in y, delta, d, x order.
+
+    Raises RowParseError at the first bad cell.
+    """
+    values = []
+    for k, (cell, name) in enumerate(zip(cells, names)):
+        values.append(_parse_cell(cell, row, name))
+        _check_value(k, values[-1], row, names)
+    return values
+
+
+def _check_values(rows, names) -> np.ndarray:
+    """Finite rows of y, delta, d, x values as one array.
+
+    Raises the RowParseError of the first row whose y is negative or whose
+    delta or d is not 0/1.
+    """
+    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    ok = (values[:, 0] >= 0) & np.isin(values[:, 1:3], (0.0, 1.0)).all(axis=1)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        for k, value in enumerate(values[bad, :3].tolist()):
+            _check_value(k, value, bad + 1, names)
+    return values
+
+
 def _resolve_schema(header, schema):
     """Map the logical columns onto header names.
 
@@ -166,6 +202,12 @@ def parse_csv(path, schema=None) -> Dataset:
     Raises SchemaError for missing/unknown columns, RowParseError (naming
     the 1-based data row and the column) for bad cells, DegenerateArmError
     for inputs on which the estimator is undefined.
+
+    Each row's cells are converted with float(), and the value rules are
+    checked over the whole array at once. Only a row that fails to convert
+    or holds a non-finite value goes through the per-cell rules, which name
+    its first bad cell; any error is the one a cell-by-cell scan in
+    row-major, y/delta/d/x order raises.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -175,50 +217,51 @@ def parse_csv(path, schema=None) -> Dataset:
             raise SchemaError("empty file") from None
         header = [h.strip() for h in header]
         core, xcols = _resolve_schema(header, schema)
-        idx = {name: header.index(name) for name in (*core.values(), *xcols)}
-        rows_y, rows_delta, rows_d, rows_x = [], [], [], []
-        for rownum, row in enumerate(reader, start=1):
+        names = (core["y"], core["delta"], core["d"], *xcols)
+        pick = operator.itemgetter(*(header.index(name) for name in names))
+        rows = []
+        for row in reader:
             if len(row) != len(header):
+                _check_values(rows, names)
                 raise RowParseError(
-                    rownum, "<row>", f"expected {len(header)} cells, got {len(row)}"
+                    len(rows) + 1, "<row>",
+                    f"expected {len(header)} cells, got {len(row)}",
                 )
-            yv = _parse_cell(row[idx[core["y"]]], rownum, core["y"])
-            if yv < 0:
-                raise RowParseError(rownum, core["y"], f"negative time: {yv}")
-            binvals = {}
-            for logical in ("delta", "d"):
-                col = core[logical]
-                v = _parse_cell(row[idx[col]], rownum, col)
-                if v not in (0.0, 1.0):
-                    raise RowParseError(rownum, col, f"must be 0 or 1, got {v}")
-                binvals[logical] = int(v)
-            xv = [_parse_cell(row[idx[c]], rownum, c) for c in xcols]
-            rows_y.append(yv)
-            rows_delta.append(binvals["delta"])
-            rows_d.append(binvals["d"])
-            rows_x.append(xv)
-    if len(rows_y) < 2:
+            cells = pick(row)
+            try:
+                converted = list(map(float, cells))
+            except ValueError:
+                converted = None
+            # a nan or inf cell makes the sum non-finite; a sum that only
+            # overflows sends a good row through the per-cell rules
+            if converted is None or not math.isfinite(sum(converted)):
+                try:
+                    converted = _check_row(cells, len(rows) + 1, names)
+                except RowParseError:
+                    # a value rule broken in an earlier row comes first
+                    _check_values(rows, names)
+                    raise
+            rows.append(converted)
+    values = _check_values(rows, names)
+    if values.shape[0] < 2:
         raise SchemaError("file contains fewer than two data rows")
     return Dataset(
-        y=np.array(rows_y),
-        delta=np.array(rows_delta),
-        d=np.array(rows_d),
-        x=np.array(rows_x),
+        y=values[:, 0].copy(),
+        delta=values[:, 1],
+        d=values[:, 2],
+        x=np.ascontiguousarray(values[:, 3:]),
         covariate_names=tuple(xcols),
     )
 
 
 def write_csv(data: Dataset, path) -> None:
-    """Inverse of parse_csv; floats written with full round-trip precision."""
+    """Inverse of parse_csv; floats written with full round-trip precision.
+
+    csv writes a float as its repr, the shortest string that reads back to
+    the same bits.
+    """
+    rows = zip(data.y.tolist(), data.delta.tolist(), data.d.tolist(), data.x)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "delta", "d", *data.covariate_names])
-        for i in range(data.n):
-            writer.writerow(
-                [
-                    repr(float(data.y[i])),
-                    int(data.delta[i]),
-                    int(data.d[i]),
-                    *(repr(float(v)) for v in data.x[i]),
-                ]
-            )
+        writer.writerows([y, dl, d, *x.tolist()] for y, dl, d, x in rows)

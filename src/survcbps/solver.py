@@ -62,6 +62,19 @@ does not depend on tau. A stand-alone fit_pel builds its own one-tau path.
 The first fit on a path starts at the one-row case of the shared Newton
 logistic fit, moments._logistic_mle, with ridge 1e-4 (beta = 0 if that is
 not finite).
+
+The outer curvature n * G' V^{-1} G does not depend on tau, so the path
+also keeps the last one formed, with the support (beta != 0) and the clip
+mask (rows whose propensity is not clipped) of the beta it was formed at:
+the chord idea of the inner dual applied to the outer loop. An outer step
+forms a fresh curvature when none is kept, when the last accepted step was
+halved or moved some coefficient by more than 1e-2, or when the current
+support or clip mask differs from the kept one's. A candidate stepped with
+a kept curvature that would change the support is discarded, and the step
+is redone with a fresh curvature. The LQA penalty term and the gradient
+are always those of the current beta. A kept curvature may certify the
+stationary stop and the 1e-6 move stop, since both test the current
+gradient.
 """
 
 from __future__ import annotations
@@ -93,6 +106,7 @@ _ZERO_TOL = 1e-5         # penalized coefficients below this snap to zero
 _MAX_OUTER = 200         # outer steps
 _OUTER_TOL = 1e-6        # outer stop: largest accepted coefficient move
 _INIT_RIDGE = 1e-4       # ridge of the logistic fit that starts a path
+_REUSE_MOVE = 1e-2       # an accepted full step moving beta more forms afresh
 
 
 @dataclass(frozen=True)
@@ -295,7 +309,9 @@ class _Path:
     (rescaled) coordinates; None before the first. factor holds the
     Cholesky factor of the last inner Hessian formed on the path, which
     every inner solve (line-search candidates, outer steps, taus) may
-    step with first.
+    step with first. h_el is the last outer curvature n * G' V^{-1} G,
+    or None, and h_support and h_free the support and clip mask of the
+    beta it was formed at.
     """
 
     def __init__(self, data: Dataset, k1, k0, clip: float):
@@ -312,6 +328,9 @@ class _Path:
         self.beta = None
         self.lam = None
         self.factor = _FactorSlot()
+        self.h_el = None
+        self.h_support = None
+        self.h_free = None
 
     def q_eval(self, beta, scad, lam_init=None):
         """(Q, dual state, gmat, slopes) at internal beta.
@@ -329,6 +348,29 @@ class _Path:
         if scad is not None:
             q += self.n * float(np.sum(scad_value(np.abs(beta), scad)))
         return q, state, gm, slopes
+
+    def curvature_holds(self, beta, slopes) -> bool:
+        """Whether the kept curvature was formed at beta's support and clip mask."""
+        return (
+            self.h_el is not None
+            and np.array_equal(self.h_support, beta != 0.0)
+            and np.array_equal(self.h_free, slopes[0] != 0.0)
+        )
+
+    def form_curvature(self, beta, gm, slopes):
+        """Form and keep n * J' V^{-1} J at beta, with V = g'g / n."""
+        n = self.n
+        jac = _mean_jacobian(self.x, slopes)
+        vhat = gm.T @ gm / n
+        vhat[np.diag_indices_from(vhat)] += 1e-10 * (1.0 + np.trace(vhat))
+        try:
+            sol = np.linalg.solve(vhat, jac)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(vhat, jac, rcond=None)[0]
+        h_el = n * (jac.T @ sol)
+        self.h_el = 0.5 * (h_el + h_el.T)
+        self.h_support = beta != 0.0
+        self.h_free = slopes[0] != 0.0
 
 
 def fit_pel(
@@ -373,54 +415,61 @@ def fit_pel(
         lam = state.lam
         row_scale = _logstar(1.0 + gm @ lam, 1.0 / n, derivs=True)[1]
         grad_el = _profile_grad(path.x, slopes, lam, row_scale)
-        jac = _mean_jacobian(path.x, slopes)
-        vhat = gm.T @ gm / n
-        vhat[np.diag_indices_from(vhat)] += 1e-10 * (1.0 + np.trace(vhat))
-        try:
-            sol = np.linalg.solve(vhat, jac)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(vhat, jac, rcond=None)[0]
-        h_el = n * (jac.T @ sol)
-        h_el = 0.5 * (h_el + h_el.T)
         if scad is not None:
             w_lqa = np.atleast_1d(lqa_weight(beta, scad, _LQA_EPS))
         else:
             w_lqa = np.zeros(p)
-        h_mat = h_el + np.diag(n * w_lqa)
-        h_mat[np.diag_indices_from(h_mat)] += 1e-8 * (1.0 + np.trace(h_el) / p)
         grad_m = grad_el + n * w_lqa * beta
-        try:
-            direction = -np.linalg.solve(h_mat, grad_m)
-        except np.linalg.LinAlgError:
-            direction = -np.linalg.lstsq(h_mat, grad_m, rcond=None)[0]
+        support = beta != 0.0
+        kept = path.curvature_holds(beta, slopes)
+        while True:
+            if not kept:
+                path.form_curvature(beta, gm, slopes)
+            h_el = path.h_el
+            h_mat = h_el + np.diag(n * w_lqa)
+            h_mat[np.diag_indices_from(h_mat)] += 1e-8 * (1.0 + np.trace(h_el) / p)
+            try:
+                direction = -np.linalg.solve(h_mat, grad_m)
+            except np.linalg.LinAlgError:
+                direction = -np.linalg.lstsq(h_mat, grad_m, rcond=None)[0]
 
-        # Coordinates held at zero whose proposed move is below the
-        # threshold are pinned there by the rezeroing rule; they cannot
-        # contribute descent, so the stationarity test skips them.
-        pinned = (beta == 0.0) & (np.abs(direction) < zero_tol)
-        decrement = float(-grad_m[~pinned] @ direction[~pinned])
-        # Stationary when the model decrement is tiny. There a rejected step
-        # ends the line search at once: halving could buy only a decrease
-        # below this resolution, at one inner solve per try.
-        stationary = decrement <= 1e-8 * (1.0 + abs(q_cur))
-        step = 1.0
-        accepted = False
-        cand = beta
-        for _ in range(40):
-            cand = beta + step * direction
-            if zero_tol > 0.0:
-                cand = np.where(np.abs(cand) < zero_tol, 0.0, cand)
-            q_cand, st_cand, gm_cand, sl_cand = path.q_eval(cand, scad, lam)
-            if q_cand < q_cur - 1e-12 * (1.0 + abs(q_cur)):
-                accepted = True
+            # Coordinates held at zero whose proposed move is below the
+            # threshold are pinned there by the rezeroing rule; they cannot
+            # contribute descent, so the stationarity test skips them.
+            pinned = ~support & (np.abs(direction) < zero_tol)
+            decrement = float(-grad_m[~pinned] @ direction[~pinned])
+            # Stationary when the model decrement is tiny. There a rejected
+            # step ends the line search at once: halving could buy only a
+            # decrease below this resolution, at one inner solve per try.
+            stationary = decrement <= 1e-8 * (1.0 + abs(q_cur))
+            step = 1.0
+            accepted = False
+            redo = False
+            cand = beta
+            for _ in range(40):
+                cand = beta + step * direction
+                if zero_tol > 0.0:
+                    cand = np.where(np.abs(cand) < zero_tol, 0.0, cand)
+                # a kept curvature may not move the support: form afresh
+                if kept and not np.array_equal(cand != 0.0, support):
+                    redo = True
+                    break
+                q_cand, st_cand, gm_cand, sl_cand = path.q_eval(cand, scad, lam)
+                if q_cand < q_cur - 1e-12 * (1.0 + abs(q_cur)):
+                    accepted = True
+                    break
+                if stationary:
+                    break
+                step *= 0.5
+            if not redo:
                 break
-            if stationary:
-                break
-            step *= 0.5
+            kept = False
         if not accepted:
             converged = stationary
             break
         delta_max = float(np.max(np.abs(cand - beta)))
+        if step < 1.0 or delta_max > _REUSE_MOVE:
+            path.h_el = None
         beta, q_cur, state, gm, slopes = cand, q_cand, st_cand, gm_cand, sl_cand
         trace.append(q_cur)
         if delta_max <= _OUTER_TOL:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,138 @@ def test_parse_csv_empty_and_tiny_files(tmp_path):
     path.write_text("y,delta,d,x1\n1.0,1,1,0.5\n")
     with pytest.raises(sc.SchemaError):
         sc.parse_csv(path)
+
+
+def reference_parse_error(path):
+    """(row, column, message) of the first bad cell, found one cell at a
+    time in row-major order; None when every cell passes. The files here
+    put their columns in y, delta, d, x order."""
+    import csv
+
+    def cell(token, row, column):
+        token = token.strip()
+        if token == "":
+            return None, (row, column, "empty cell")
+        try:
+            value = float(token)
+        except ValueError:
+            return None, (row, column, f"not a number: {token!r}")
+        if math.isnan(value) or math.isinf(value):
+            return None, (row, column, f"non-finite value: {token!r}")
+        return value, None
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                return (rownum, "<row>",
+                        f"expected {len(header)} cells, got {len(row)}")
+            for column in header:
+                value, error = cell(row[header.index(column)], rownum, column)
+                if error:
+                    return error
+                if column == "y" and value < 0:
+                    return rownum, column, f"negative time: {value}"
+                if column in ("delta", "d") and value not in (0.0, 1.0):
+                    return rownum, column, f"must be 0 or 1, got {value}"
+    return None
+
+
+# each fault as {column: token}; the header is y, delta, d, x1, x2, x3
+BAD_CELLS = {
+    "empty": {"x2": ""},
+    "blank": {"d": "  "},
+    "non_numeric": {"x1": "abc"},
+    "hex": {"y": "0x1p3"},
+    "nan": {"x3": "nan"},
+    "inf": {"y": "inf"},
+    "minus_inf": {"x1": "-Infinity"},
+    "negative_time": {"y": "-1.5"},
+    "non_binary": {"delta": "2"},
+    "fractional_treatment": {"d": "0.5"},
+    "two_faults": {"x1": "nan", "delta": "3"},
+    "ragged": None,
+}
+
+
+def _write_rows(path, faults, n=40):
+    """n valid rows, then the given faults as {row: BAD_CELLS entry}.
+
+    Row 20 is valid, but its values sum to inf.
+    """
+    header = ["y", "delta", "d", "x1", "x2", "x3"]
+    lines = [",".join(header)]
+    for i in range(1, n + 1):
+        cells = {"y": f"{0.5 + i / 7:.6f}", "delta": "1" if i % 3 else "0",
+                 "d": str(i % 2), "x1": f"{np.sin(i):.17g}",
+                 "x2": " 1_000", "x3": f"{-i / 3:.4e}"}
+        if i == 20:
+            cells.update(x1="1e308", x3="1.7e308")
+        line = ",".join(cells[h] for h in header)
+        if i in faults:
+            if faults[i] is None:
+                line = ",".join(cells[h] for h in header[:-1])
+            else:
+                cells.update(faults[i])
+                line = ",".join(cells[h] for h in header)
+        lines.append(line)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("late", sorted(BAD_CELLS))
+@pytest.mark.parametrize("early", [None, *sorted(BAD_CELLS)])
+def test_parse_csv_error_matches_a_cell_by_cell_scan(tmp_path, early, late):
+    faults = {38: BAD_CELLS[late]}
+    if early is not None:
+        faults[3] = BAD_CELLS[early]
+    path = tmp_path / "bad.csv"
+    _write_rows(path, faults)
+    expected = reference_parse_error(path)
+    assert expected is not None and expected[0] == (3 if early else 38)
+    with pytest.raises(sc.RowParseError) as exc:
+        sc.parse_csv(path)
+    row, column, message = expected
+    assert (exc.value.row, exc.value.column) == (row, column)
+    assert str(exc.value) == f"row {row}, column {column!r}: {message}"
+
+
+def test_parse_csv_reads_what_float_reads(tmp_path):
+    path = tmp_path / "good.csv"
+    _write_rows(path, {})
+    assert reference_parse_error(path) is None
+    data = sc.parse_csv(path)
+    assert data.n == 40 and data.p == 3
+    np.testing.assert_array_equal(data.x[:, 1], 1000.0)
+    x1 = np.sin(np.arange(1, 41))
+    x1[19] = 1e308
+    np.testing.assert_array_equal(data.x[:, 0], x1)
+    assert data.x[19, 2] == 1.7e308
+    assert data.x.flags["C_CONTIGUOUS"] and data.y.flags["C_CONTIGUOUS"]
+
+
+def test_write_csv_bytes_match_a_per_cell_repr(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    y = np.array([0.0, -0.0, tiny, 1e308, 2.2250738585072014e-308 / 3, 0.1])
+    delta = np.array([1, 0, 1, 1, 0, 1])
+    d = np.array([1, 1, 0, 0, 1, 0])
+    x = np.array([
+        [-0.0, 1e308, -1e308],
+        [tiny, -tiny, 1 / 3],
+        [5e-324, 1e-320, 123456789.123456789],
+        [-1.5, 2.0, 1e-7],
+        [np.pi, -np.e, 1e16],
+        [0.0, 1e22, -2.5e-310],
+    ])
+    data = sc.Dataset(y=y, delta=delta, d=d, x=x)
+    path = tmp_path / "out.csv"
+    sc.write_csv(data, path)
+    lines = ["y,delta,d,x1,x2,x3"]
+    for i in range(data.n):
+        cells = [repr(float(data.y[i])), str(int(data.delta[i])),
+                 str(int(data.d[i])), *(repr(float(v)) for v in data.x[i])]
+        lines.append(",".join(cells))
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+    back = sc.parse_csv(path)
+    for a, b in ((back.y, data.y), (back.x, data.x)):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))

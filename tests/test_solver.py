@@ -553,3 +553,140 @@ def test_select_tau_carries_the_dual_along_the_path(toy_data, monkeypatch):
     assert all(per_fit[0] <= 1 for per_fit in newton[1:])
     # with every first inner solve started cold the path took 177
     assert sum(map(sum, newton)) < 177
+
+
+def test_every_fit_on_a_path_is_stationary(toy_data, monkeypatch):
+    """The penalized gradient vanishes on the support of every path fit.
+
+    The oracle is the profile gradient at a tightly solved dual plus the
+    exact SCAD slope, so it does not depend on the curvature the fit used.
+    """
+    from survcbps import solver
+
+    path, k1, k0 = _toy_path(toy_data)
+    real = solver.fit_pel
+    fits = []
+
+    def spy(*args, **kwargs):
+        fits.append(real(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(solver, "fit_pel", spy)
+    select_tau(toy_data, k1, k0)
+    assert len(fits) == 20
+    n = toy_data.n
+    for fit in fits:
+        assert fit.converged
+        beta = fit.beta_hat * path.scales
+        on = beta != 0.0
+        _, state, gm, slopes = path.q_eval(beta, None)
+        state = solve_inner_dual(gm, state.lam, tol=1e-12)
+        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / n, derivs=True)[1]
+        grad = _profile_grad(path.x, slopes, state.lam, row_scale)
+        slope = sc.scad_derivative(np.abs(beta[on]), ScadParams(lam=fit.tau))
+        penalized = grad[on] + n * slope * np.sign(beta[on])
+        assert np.all(np.abs(penalized) <= 1e-6 * n)
+
+
+def test_select_tau_keeps_the_outer_curvature(toy_data, monkeypatch):
+    from survcbps import solver
+
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    curvatures = _count_calls(monkeypatch, "_mean_jacobian")
+    real = solver.fit_pel
+    steps = []
+
+    def fit(*args, **kwargs):
+        result = real(*args, **kwargs)
+        steps.append(result.outer_iterations)
+        return result
+
+    monkeypatch.setattr(solver, "fit_pel", fit)
+    select_tau(toy_data, k1, k0)
+    assert 0 < len(curvatures) < sum(steps)
+
+
+def _log_outer_events(monkeypatch):
+    """Record, in order, each Q evaluation (beta, Q) and each curvature
+    formed on a path (beta)."""
+    events = []
+    q_eval, form = _Path.q_eval, _Path.form_curvature
+
+    def logged_q(self, beta, *args, **kwargs):
+        out = q_eval(self, beta, *args, **kwargs)
+        events.append(("eval", np.array(beta), out[0]))
+        return out
+
+    def logged_form(self, beta, *args, **kwargs):
+        events.append(("form", np.array(beta)))
+        return form(self, beta, *args, **kwargs)
+
+    monkeypatch.setattr(_Path, "q_eval", logged_q)
+    monkeypatch.setattr(_Path, "form_curvature", logged_form)
+    return events
+
+
+def _converged_path(data, tau, shift=0.0):
+    """A path that kept its curvature at a converged fit, restarted at the
+    fit's beta with shift added to its largest coefficient."""
+    path, k1, k0 = _toy_path(data)
+    fit_pel(data, k1, k0, ScadParams(lam=tau), _path=path)
+    assert path.h_el is not None
+    beta = path.beta.copy()
+    beta[np.argmax(np.abs(beta))] += shift
+    path.beta = beta
+    return path, k1, k0
+
+
+def test_a_large_move_forms_a_fresh_curvature(toy_data, monkeypatch):
+    for shift, fresh in ((0.005, False), (0.05, True)):
+        path, k1, k0 = _converged_path(toy_data, 0.05, shift)
+        start = path.beta
+        events = _log_outer_events(monkeypatch)
+        fit_pel(toy_data, k1, k0, ScadParams(lam=0.05), _path=path)
+        monkeypatch.undo()
+        # the start, then a full step taken with the kept curvature
+        assert [e[0] for e in events[:2]] == ["eval", "eval"]
+        assert events[1][2] < events[0][2]
+        move = np.max(np.abs(events[1][1] - start))
+        assert (move > 1e-2) == fresh
+        assert (events[2][0] == "form") == fresh
+        if fresh:
+            np.testing.assert_array_equal(events[2][1], events[1][1])
+
+
+def test_a_halved_step_forms_a_fresh_curvature(toy_data, monkeypatch):
+    path, k1, k0 = _converged_path(toy_data, 0.05, 0.005)
+    start = path.beta
+    events = _log_outer_events(monkeypatch)
+    logged_q = _Path.q_eval
+
+    def reject_first_step(self, beta, *args, **kwargs):
+        q, *rest = logged_q(self, beta, *args, **kwargs)
+        return (math.inf if len(events) == 2 else q), *rest
+
+    monkeypatch.setattr(_Path, "q_eval", reject_first_step)
+    fit_pel(toy_data, k1, k0, ScadParams(lam=0.05), _path=path)
+    # the start, a rejected full step and an accepted half step, all with
+    # the kept curvature; the half step moved beta by less than 1e-2, so
+    # only the halving forces the fresh curvature after it
+    assert [e[0] for e in events[:4]] == ["eval", "eval", "eval", "form"]
+    full, half = events[1][1] - start, events[2][1] - start
+    np.testing.assert_allclose(half, 0.5 * full, rtol=0, atol=1e-12)
+    assert np.max(np.abs(half)) <= 1e-2
+    np.testing.assert_array_equal(events[3][1], events[2][1])
+
+
+def test_a_support_changing_candidate_is_redone_fresh(toy_data, monkeypatch):
+    path, k1, k0 = _converged_path(toy_data, 0.05)
+    start = path.beta
+    assert np.all(start != 0.0)
+    events = _log_outer_events(monkeypatch)
+    # a huge penalty sends the kept curvature's first candidate to zero
+    fit = fit_pel(toy_data, k1, k0, ScadParams(lam=1e6), _path=path)
+    np.testing.assert_array_equal(fit.beta_hat, np.zeros(toy_data.p))
+    # that candidate is never evaluated: the step is redone with a
+    # curvature formed at the start
+    assert [e[0] for e in events[:3]] == ["eval", "form", "eval"]
+    np.testing.assert_array_equal(events[1][1], start)

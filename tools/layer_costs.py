@@ -7,8 +7,11 @@ For each n x p size and replication k, draws `SimConfig(n, p, seed)`
 replication k, fits both censoring curves, and times `select_tau` and
 `ate_with_ci` (the fastest of --passes passes is kept). It counts the
 inner dual calls and their Newton plus chord steps by wrapping
-`solver.solve_inner_dual`, and the inner Hessians by wrapping
-`solver._weighted_gram`, which only the inner dual calls. A failing path is
+`solver.solve_inner_dual`, the inner Hessians by wrapping
+`solver._weighted_gram`, which only the inner dual calls, the outer
+curvature builds by wrapping `solver._mean_jacobian`, which only the
+curvature build calls, and the outer steps by wrapping `solver.fit_pel`
+and summing its outer_iterations. A failing path is
 reported with its error and time. --src picks the package tree, so two
 checkouts can be compared on one machine; BLAS runs on one thread. Prints
 one JSON document.
@@ -31,22 +34,34 @@ ROOT = Path(__file__).resolve().parent.parent
 def wrap_counts(solver, counts):
     """Replace the solver's call-time names by counting wrappers; returns
     the function that puts the originals back."""
-    gram, inner = solver._weighted_gram, solver.solve_inner_dual
+    names = ("_weighted_gram", "solve_inner_dual", "_mean_jacobian", "fit_pel")
+    real = {name: getattr(solver, name) for name in names}
 
     def hessian(*args):
         counts["hessians"] += 1
-        return gram(*args)
+        return real["_weighted_gram"](*args)
 
     def dual(*args, **kwargs):
-        state = inner(*args, **kwargs)
+        state = real["solve_inner_dual"](*args, **kwargs)
         counts["inner_calls"] += 1
         counts["steps"] += state.iterations
         return state
 
-    solver._weighted_gram, solver.solve_inner_dual = hessian, dual
+    def curvature(*args):
+        counts["curvatures"] += 1
+        return real["_mean_jacobian"](*args)
+
+    def fit(*args, **kwargs):
+        result = real["fit_pel"](*args, **kwargs)
+        counts["outer_steps"] += result.outer_iterations
+        return result
+
+    for name, wrapper in zip(names, (hessian, dual, curvature, fit)):
+        setattr(solver, name, wrapper)
 
     def restore():
-        solver._weighted_gram, solver.solve_inner_dual = gram, inner
+        for name, original in real.items():
+            setattr(solver, name, original)
 
     return restore
 
@@ -58,7 +73,8 @@ def one_size(sc, solver, n, p, seed, rep, passes):
     out = {"n": n, "p": p, "seed": seed, "rep": rep}
     tau_s, ate_s = [], []
     for _ in range(passes):
-        counts = {"hessians": 0, "inner_calls": 0, "steps": 0}
+        counts = {"hessians": 0, "inner_calls": 0, "steps": 0,
+                  "curvatures": 0, "outer_steps": 0}
         restore = wrap_counts(solver, counts)
         t0 = time.perf_counter()
         try:
