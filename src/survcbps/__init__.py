@@ -45,7 +45,6 @@ from .simulation import (
     write_outputs,
 )
 from .solver import (
-    FitOptions,
     PELFit,
     default_tau_grid,
     el_weights,
@@ -64,7 +63,6 @@ __all__ = [
     "DegenerateArmError",
     "DumpFormatError",
     "FitError",
-    "FitOptions",
     "InputError",
     "PELFit",
     "PropensityParams",

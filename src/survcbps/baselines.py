@@ -20,7 +20,10 @@ main estimator:
 Naive IPW and AIPW report nonparametric-bootstrap standard errors (the
 whole pipeline, censoring curves included, is refitted on each resample)
 with normal-approximation intervals. Both go through one front end,
-``_fit_baseline``, and differ only in their count-weighted point step. The
+``_fit_baseline``, and differ only in their count-weighted point step. It
+checks the clip bound and the level before any work, and ends, as
+``ate_with_ci`` does, with ``inference._ate_result``, which forms the
+interval, the medians and the Kish sizes. The
 full-sample estimate is that step on one row of counts, all ones, with the
 propensity from the same Newton logistic fit (``moments._logistic_mle``)
 that the solver's path start and every resample use.
@@ -47,21 +50,20 @@ import warnings as _warnings
 from functools import partial
 
 import numpy as np
-from scipy.special import expit, ndtri
+from scipy.special import expit
 
 from .censoring import CensorSurvival, _product_limit
 from .data import Dataset
 from .errors import DegenerateArmError, InputError
 from .inference import (
     ATEResult,
+    _ate_result,
     _ipcw_weight_arrays,
-    _kish,
-    _normalized_from_pi,
+    _z_value,
     ate_with_ci,
-    weighted_median,
 )
-from .moments import _BLOCK_FLOATS, _Design, _logistic_mle, _solve
-from .solver import FitOptions, fit_pel
+from .moments import _BLOCK_FLOATS, _check_clip, _Design, _logistic_mle, _solve
+from .solver import fit_pel
 
 
 def _propensity(design, d, counts, clip):
@@ -129,9 +131,9 @@ def _aipw_means(c, y, delta, d, design, pi, kdy, outcome_model):
     return mu1, mu0, ok
 
 
-def _bootstrap(data, y, delta, d, point_fn, *, ate, level, clip, floors,
-               n_boot, stream, notes):
-    """Bootstrap SE and normal CI, refitting censoring and propensity per resample.
+def _bootstrap(data, y, delta, d, point_fn, *, clip, floors, n_boot, stream,
+               notes):
+    """Bootstrap SE, refitting censoring and propensity per resample.
 
     Resample b is drawn from ``SeedSequence(stream)``, one ``integers(0, n, n)``
     call each, and becomes a row of counts over the y-sorted data; blocks of
@@ -185,10 +187,8 @@ def _bootstrap(data, y, delta, d, point_fn, *, ate, level, clip, floors,
     if failures:
         notes.append(f"{failures} of {n_boot} bootstrap resamples were degenerate")
     if boots.size < 20:
-        return float("nan"), (float("nan"), float("nan"))
-    se = float(boots.std(ddof=1))
-    z = float(ndtri(0.5 + level / 2.0))
-    return se, (ate - z * se, ate + z * se)
+        return float("nan")
+    return float(boots.std(ddof=1))
 
 
 def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
@@ -199,6 +199,8 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
     propensity and its point step. Warnings of the full-sample point step
     become notes; those of the resamples are dropped.
     """
+    _check_clip(clip)
+    _z_value(level)
     notes = []
     if data.n <= data.p:
         notes.append("n <= p: logistic MLE is unstable, ridge 1e-6 applied")
@@ -218,26 +220,16 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
     notes.extend(str(w.message) for w in caught)
     if not ok[0]:
         raise DegenerateArmError("an arm is too small for the point estimate")
-    mu1, mu0 = float(mu1[0]), float(mu0[0])
-    ate = mu1 - mu0
-
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        se, (lo, hi) = _bootstrap(
-            data, y, delta, d, point_fn,
-            ate=ate, level=level, clip=clip, floors=(k0.floor, k1.floor),
+        se = _bootstrap(
+            data, y, delta, d, point_fn, clip=clip, floors=(k0.floor, k1.floor),
             n_boot=n_boot, stream=stream, notes=notes,
         )
     pi = pi[0]
-    w1n, w0n = _normalized_from_pi(d, pi)
-    med1, med0 = weighted_median(y, w1n), weighted_median(y, w0n)
     w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)
-    return ATEResult(
-        mu1=mu1, mu0=mu0, ate=ate, se=se, ci_low=lo, ci_high=hi,
-        median1=med1, median0=med0, median_diff=med1 - med0,
-        n_effective_1=_kish(w1), n_effective_0=_kish(w0),
-        warnings=tuple(notes), level=level,
-    )
+    return _ate_result(y, d, pi, w1, w0, float(mu1[0]), float(mu0[0]), se,
+                       level, notes)
 
 
 def fit_naive_ipw(
@@ -264,9 +256,10 @@ def fit_cbps_unpenalized(
     level: float = 0.95,
 ) -> ATEResult:
     """Balanced fit with no penalty; requires p + 2 <= n."""
+    _z_value(level)
     if data.p + 2 > data.n:
         raise InputError("unpenalized balancing needs p + 2 <= n")
-    fit = fit_pel(data, k1, k0, scad=None, opts=FitOptions(clip=clip))
+    fit = fit_pel(data, k1, k0, scad=None, clip=clip)
     return ate_with_ci(data, fit, k1, k0, level=level)
 
 

@@ -12,6 +12,10 @@ Exit codes: 0 success, 2 file/schema/configuration problems, 3 convergence
 failures (for simulate: more than 5% of replications failed; outputs are
 still written), 4 degenerate data (an arm empty or without uncensored
 records). Errors are reported as a JSON object on stdout.
+
+``fit`` makes one ``select_tau`` call: ``--tau X`` is the one-value grid
+[X], so it writes the same JSON as ``--tau-grid X``. The clip bound and
+the level are checked before the data are read.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .errors import (
     SchemaError,
     SingularMatrixError,
 )
-from .inference import ate_with_ci
-from .scad import ScadParams
+from .inference import _z_value, ate_with_ci
+from .moments import _check_clip
 from .simulation import (
     SCHEMA_VERSION,
     SimConfig,
@@ -46,7 +50,7 @@ from .simulation import (
     run_study,
     write_outputs,
 )
-from .solver import FitOptions, default_tau_grid, fit_pel, select_tau
+from .solver import select_tau
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -86,12 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="estimate the ATE from a CSV dataset")
     fit.add_argument("--data", required=True, help="input CSV path")
     fit.add_argument("--tau", type=float, default=None,
-                     help="fixed penalty level (overrides the grid)")
+                     help="fixed penalty level, the same as a one-value grid")
     fit.add_argument("--tau-grid", default="auto",
                      help="'auto' or a comma-separated list of levels")
     fit.add_argument("--level", type=float, default=0.95)
     fit.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    fit.add_argument("--seed", default="42")
     fit.add_argument("--clip", type=float, default=0.01)
     fit.add_argument("--km-floor", type=float, default=0.05)
 
@@ -108,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fit_doc(args, data, tau, fit, result) -> dict:
+def _fit_doc(data, tau, fit, result) -> dict:
     names = list(data.covariate_names)
     active = [int(j) for j in fit.active_set]
     return {
@@ -116,7 +119,6 @@ def _fit_doc(args, data, tau, fit, result) -> dict:
         "command": "fit",
         "n": data.n,
         "p": data.p,
-        "seed": args.seed,
         "tau": tau,
         "converged": bool(fit.converged),
         "active_set": active,
@@ -143,10 +145,18 @@ def _emit(doc: dict, out_path) -> None:
 
 def cmd_fit(args) -> int:
     try:
-        seed = _parse_seed(args.seed)
-    except ConfigError as exc:
+        _check_clip(args.clip)
+        _z_value(args.level)
+        if args.tau is not None:
+            grid = [args.tau]
+        elif args.tau_grid == "auto":
+            grid = None
+        else:
+            grid = [float(s) for s in args.tau_grid.split(",") if s.strip()]
+    except InputError as exc:
         return _fail("config", str(exc), _EXIT_INPUT)
-    args.seed = seed
+    except ValueError:
+        return _fail("config", f"bad --tau-grid: {args.tau_grid!r}", _EXIT_INPUT)
     try:
         data = parse_csv(args.data)
     except FileNotFoundError:
@@ -158,19 +168,7 @@ def cmd_fit(args) -> int:
     try:
         k1 = fit_censoring_km(data, 1, floor=args.km_floor)
         k0 = fit_censoring_km(data, 0, floor=args.km_floor)
-        opts = FitOptions(clip=args.clip)
-        if args.tau is not None:
-            tau = float(args.tau)
-            fit = fit_pel(data, k1, k0, ScadParams(lam=tau), opts)
-        elif args.tau_grid == "auto":
-            tau, fit = select_tau(data, k1, k0, opts=opts)
-        else:
-            try:
-                grid = [float(s) for s in args.tau_grid.split(",") if s.strip()]
-            except ValueError:
-                return _fail("config", f"bad --tau-grid: {args.tau_grid!r}",
-                             _EXIT_INPUT)
-            tau, fit = select_tau(data, k1, k0, grid=grid, opts=opts)
+        tau, fit = select_tau(data, k1, k0, grid=grid, clip=args.clip)
         result = ate_with_ci(data, fit, k1, k0, level=args.level)
     except DegenerateArmError as exc:
         return _fail("degenerate", str(exc), _EXIT_DEGENERATE)
@@ -178,7 +176,7 @@ def cmd_fit(args) -> int:
         return _fail("convergence", str(exc), _EXIT_CONVERGENCE)
     except InputError as exc:
         return _fail("config", str(exc), _EXIT_INPUT)
-    _emit(_fit_doc(args, data, tau, fit, result), args.out)
+    _emit(_fit_doc(data, tau, fit, result), args.out)
     if not fit.converged:
         print("warning: propensity fit did not converge", file=sys.stderr)
         return _EXIT_CONVERGENCE

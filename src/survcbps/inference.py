@@ -162,7 +162,7 @@ def weighted_median(y, w) -> float:
 
 
 def _sandwich_pieces(fit: PELFit, data: Dataset, k1, k0):
-    """(Sigma, G1, V, gmat, warning messages) for the active coefficients."""
+    """(Sigma, V^{-1} G1, gmat, warning messages) for the active coefficients."""
     active = np.asarray(fit.active_set, dtype=int)
     if active.size == 0:
         raise InputError("sandwich covariance needs a nonempty active set")
@@ -192,7 +192,44 @@ def _sandwich_pieces(fit: PELFit, data: Dataset, k1, k0):
     half = np.linalg.solve(chol, eye)
     sigma = half.T @ half
     sigma = 0.5 * (sigma + sigma.T)
-    return sigma, g1, vhat, gmat, notes
+    return sigma, vinv_g1, gmat, notes
+
+
+def _z_value(level, error=InputError):
+    """The two-sided normal quantile of ``level``; ``error`` unless 0 < level < 1."""
+    if not 0.0 < level < 1.0:
+        raise error("level must lie in (0, 1)")
+    return float(ndtri(0.5 + level / 2.0))
+
+
+def _ate_result(y, d, pi, w1, w0, mu1, mu0, se, level, notes,
+                se_propensity=float("nan")) -> ATEResult:
+    """The ATEResult of mu1, mu0 and se, for this estimator and the baselines.
+
+    Adds the normal interval, the medians under pi's self-normalized inverse
+    propensity weights and the Kish sizes of the IPCW weights w1, w0.
+    """
+    ate = mu1 - mu0
+    z = _z_value(level)
+    w1n, w0n = _normalized_from_pi(d, pi)
+    med1 = weighted_median(y, w1n)
+    med0 = weighted_median(y, w0n)
+    return ATEResult(
+        mu1=mu1,
+        mu0=mu0,
+        ate=ate,
+        se=se,
+        ci_low=ate - z * se,
+        ci_high=ate + z * se,
+        median1=med1,
+        median0=med0,
+        median_diff=med1 - med0,
+        n_effective_1=_kish(w1),
+        n_effective_0=_kish(w0),
+        warnings=tuple(notes),
+        level=level,
+        se_propensity=se_propensity,
+    )
 
 
 def ate_with_ci(
@@ -203,8 +240,7 @@ def ate_with_ci(
     level: float = 0.95,
 ) -> ATEResult:
     """Point estimate, standard errors, confidence interval and medians."""
-    if not 0.0 < level < 1.0:
-        raise InputError("level must lie in (0, 1)")
+    _z_value(level)
     notes = []
     if not fit.converged:
         notes.append("propensity fit did not converge; inference is approximate")
@@ -220,7 +256,6 @@ def ate_with_ci(
     )
     w1, w0 = _ipcw_weight_arrays(y, delta, dvec, pi, k1y, k0y)
     mu1, mu0 = _hajek_means(y, w1, w0)
-    ate = mu1 - mu0
 
     # phi is the influence of the Hajek means at fixed pi; grad_h is the
     # derivative of the same sums, with the weight slopes in place of w
@@ -233,12 +268,12 @@ def ate_with_ci(
     if active.size:
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            sigma, g1, vhat, gmat, sw_notes = _sandwich_pieces(fit, data, k1, k0)
+            sigma, vinv_g1, gmat, sw_notes = _sandwich_pieces(fit, data, k1, k0)
         notes.extend(sw_notes)
         notes.extend(str(w.message) for w in caught)
         se_prop = math.sqrt(max(float(grad_h @ sigma @ grad_h), 0.0) / n)
         # per-row coefficient influence, mapped through the ATE gradient
-        bmat = sigma @ (np.linalg.solve(vhat, g1).T)   # s x m
+        bmat = sigma @ vinv_g1.T   # s x m
         psi = -(gmat @ (bmat.T @ grad_h)) / n
     else:
         notes.append("active set is empty; propensity variance term is zero")
@@ -247,25 +282,4 @@ def ate_with_ci(
 
     infl = phi + psi
     se = math.sqrt(float(infl @ infl))
-    z = float(ndtri(0.5 + level / 2.0))
-
-    w1n, w0n = _normalized_from_pi(dvec, pi)
-    med1 = weighted_median(y, w1n)
-    med0 = weighted_median(y, w0n)
-
-    return ATEResult(
-        mu1=mu1,
-        mu0=mu0,
-        ate=ate,
-        se=se,
-        ci_low=ate - z * se,
-        ci_high=ate + z * se,
-        median1=med1,
-        median0=med0,
-        median_diff=med1 - med0,
-        n_effective_1=_kish(w1),
-        n_effective_0=_kish(w0),
-        warnings=tuple(notes),
-        level=level,
-        se_propensity=se_prop,
-    )
+    return _ate_result(y, dvec, pi, w1, w0, mu1, mu0, se, level, notes, se_prop)

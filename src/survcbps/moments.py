@@ -33,6 +33,15 @@ from .censoring import CensorSurvival
 from .data import Dataset
 from .errors import InputError
 
+_LOGIT_MAX_ITER = 100    # Newton steps of a logistic fit
+_LOGIT_TOL = 1e-10       # a logistic fit stops once max |step| is this small
+
+
+def _check_clip(clip, error=InputError):
+    """Raise ``error`` unless the clip bound lies in (0, 0.5); NaN fails too."""
+    if not 0.0 < clip < 0.5:
+        raise error("clip must lie in (0, 0.5)")
+
 
 @dataclass(frozen=True)
 class PropensityParams:
@@ -45,8 +54,7 @@ class PropensityParams:
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         if beta.ndim != 1 or not np.all(np.isfinite(beta)):
             raise InputError("beta must be a finite vector")
-        if not 0.0 < self.clip < 0.5:
-            raise InputError("clip must lie in (0, 0.5)")
+        _check_clip(self.clip)
         object.__setattr__(self, "beta", beta)
         beta.setflags(write=False)
 
@@ -163,13 +171,13 @@ def _lstsq(a, b):
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
-def _logistic_mle(design, d, counts, ridge=1e-6, max_iter=100, tol=1e-10):
+def _logistic_mle(design, d, counts, ridge=1e-6):
     """Logistic regression by Newton iteration from beta = 0, one fit per row of counts.
 
     ``counts[b, i]`` is how often row i of ``design.x`` enters fit b. Each fit
-    is frozen after its own first step with max |step| <= tol. ``clean[b]``
-    says fit b converged to a finite beta with |x beta| <= 30 on every row it
-    counts.
+    is frozen after its own first step with max |step| <= _LOGIT_TOL, within
+    _LOGIT_MAX_ITER steps. ``clean[b]`` says fit b converged to a finite beta
+    with |x beta| <= 30 on every row it counts.
     """
     x = design.x
     nb, q = counts.shape[0], x.shape[1]
@@ -177,7 +185,7 @@ def _logistic_mle(design, d, counts, ridge=1e-6, max_iter=100, tol=1e-10):
     converged = np.zeros(nb, dtype=bool)
     live = np.arange(nb)
     diag = np.arange(q)
-    for _ in range(max_iter):
+    for _ in range(_LOGIT_MAX_ITER):
         c, b = counts[live], beta[live]
         prob = expit(b @ x.T)
         grad = (c * (d - prob)) @ x - ridge * b
@@ -185,7 +193,7 @@ def _logistic_mle(design, d, counts, ridge=1e-6, max_iter=100, tol=1e-10):
         hess[:, diag, diag] += ridge + 1e-12
         step = _solve(hess, grad, _lstsq)
         beta[live] = b + step
-        done = np.max(np.abs(step), axis=1) <= tol
+        done = np.max(np.abs(step), axis=1) <= _LOGIT_TOL
         converged[live[done]] = True
         live = live[~done]
         if live.size == 0:

@@ -36,8 +36,9 @@ from .baselines import fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
 from .censoring import fit_censoring_km
 from .data import Dataset
 from .errors import ConfigError, DumpFormatError, SurvCbpsError
-from .inference import ate_with_ci
-from .solver import FitOptions, select_tau
+from .inference import _z_value, ate_with_ci
+from .moments import _check_clip
+from .solver import select_tau
 
 SCHEMA_VERSION = 1
 
@@ -93,8 +94,8 @@ class SimConfig:
                 raise ConfigError(
                     f"unknown estimator {name!r}; known: {ESTIMATOR_ORDER}"
                 )
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError("level must lie in (0, 1)")
+        _check_clip(self.clip, ConfigError)
+        _z_value(self.level, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -335,22 +336,16 @@ def _fit_one(name: str, config: SimConfig, data: Dataset, rep: int):
     k1 = fit_censoring_km(data, 1, floor=config.km_floor)
     k0 = fit_censoring_km(data, 0, floor=config.km_floor)
     if name == "proposed":
-        _, fit = select_tau(
-            data, k1, k0, opts=FitOptions(clip=config.clip)
-        )
+        _, fit = select_tau(data, k1, k0, clip=config.clip)
         return ate_with_ci(data, fit, k1, k0, level=config.level)
-    if name == "naive_ipw":
-        return fit_naive_ipw(
-            data, k1, k0, clip=config.clip, level=config.level,
-            n_boot=config.n_boot, seed=_estimator_seed(config, rep, name),
+    if name == "cbps_unpenalized":
+        return fit_cbps_unpenalized(
+            data, k1, k0, clip=config.clip, level=config.level
         )
-    if name == "aipw":
-        return fit_aipw(
-            data, k1, k0, clip=config.clip, level=config.level,
-            n_boot=config.n_boot, seed=_estimator_seed(config, rep, name),
-        )
-    return fit_cbps_unpenalized(
-        data, k1, k0, clip=config.clip, level=config.level
+    bootstrapped = fit_naive_ipw if name == "naive_ipw" else fit_aipw
+    return bootstrapped(
+        data, k1, k0, clip=config.clip, level=config.level,
+        n_boot=config.n_boot, seed=_estimator_seed(config, rep, name),
     )
 
 
@@ -456,8 +451,6 @@ def _coerce_config_value(key, val, where):
     try:
         if key == "estimators":
             return tuple(s.strip() for s in val.split(",") if s.strip())
-        if isinstance(default, bool):
-            return val.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(val)
         if isinstance(default, float):

@@ -59,6 +59,8 @@ line-search candidate, an outer step or a new tau, hands the slot on, so
 the dual mostly moves by chord steps. A failed fit leaves beta and lam as
 they were, and the beta = 0 fallback starts the dual cold: its outcome
 does not depend on tau. A stand-alone fit_pel builds its own one-tau path.
+Both take the propensity clip bound as a plain argument, which the path
+checks before any other work.
 The first fit on a path starts at the one-row case of the shared Newton
 logistic fit, moments._logistic_mle, with ridge 1e-4 (beta = 0 if that is
 not finite).
@@ -90,6 +92,7 @@ from .data import Dataset
 from .errors import FitError, InputError, SelectionError
 from .moments import (
     PropensityParams,
+    _check_clip,
     _Design,
     _gmat_and_slopes,
     _logistic_mle,
@@ -107,6 +110,7 @@ _MAX_OUTER = 200         # outer steps
 _OUTER_TOL = 1e-6        # outer stop: largest accepted coefficient move
 _INIT_RIDGE = 1e-4       # ridge of the logistic fit that starts a path
 _REUSE_MOVE = 1e-2       # an accepted full step moving beta more forms afresh
+_TAU_NUM, _TAU_LO, _TAU_HI = 20, 0.01, 2.0   # default grid, sqrt(log p / n) units
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,6 @@ class _FactorSlot:
 
     def __init__(self):
         self.cf = None
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Propensities are clipped to [clip, 1 - clip]."""
-
-    clip: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,6 @@ def solve_inner_dual(
     gmat,
     lambda_init=None,
     tol: float = _INNER_TOL,
-    max_iter: int = _INNER_MAX_ITER,
     *,
     factor: _FactorSlot | None = None,
 ) -> ELDualState:
@@ -224,7 +220,7 @@ def solve_inner_dual(
     stalled = False
     # chord steps run from the first step only, while each one contracts
     chord = slot.cf is not None and slot.cf[0].shape == (m, m)
-    while iters < max_iter and gnorm > tol:
+    while iters < _INNER_MAX_ITER and gnorm > tol:
         # the model improvement for the full step is slope/2; once that is
         # below floating resolution of the objective no line search can
         # certify progress
@@ -315,6 +311,7 @@ class _Path:
     """
 
     def __init__(self, data: Dataset, k1, k0, clip: float):
+        _check_clip(clip)
         self.n = data.n
         self.p = data.p
         self.dvec = data.d.astype(float)
@@ -378,17 +375,18 @@ def fit_pel(
     k1: CensorSurvival,
     k0: CensorSurvival,
     scad: ScadParams | None,
-    opts: FitOptions | None = None,
+    clip: float = 0.01,
     *,
     _path: _Path | None = None,
 ) -> PELFit:
     """Minimize the penalized EL objective; scad=None fits unpenalized.
 
-    _path, when given, is select_tau's path over the same data and curves.
-    It supplies the clip and the starting point, and a successful fit leaves
-    its beta and dual vector there for the next one.
+    Propensities are clipped to [clip, 1 - clip]. _path, when given, is
+    select_tau's path over the same data and curves. It supplies the clip
+    and the starting point, and a successful fit leaves its beta and dual
+    vector there for the next one.
     """
-    path = _path or _Path(data, k1, k0, (opts or FitOptions()).clip)
+    path = _path or _Path(data, k1, k0, clip)
     n, p = path.n, path.p
     zero_tol = _ZERO_TOL if scad is not None else 0.0
 
@@ -493,13 +491,12 @@ def fit_pel(
     )
 
 
-def default_tau_grid(n: int, p: int, num: int = 20,
-                     lo: float = 0.01, hi: float = 2.0) -> np.ndarray:
-    """Log-spaced penalty levels on the sqrt(log p / n) scale."""
+def default_tau_grid(n: int, p: int) -> np.ndarray:
+    """20 log-spaced penalty levels from 0.01 to 2 times sqrt(log p / n)."""
     if n < 2 or p < 1:
         raise InputError("need n >= 2 and p >= 1")
     scale = math.sqrt(math.log(max(p, 2)) / n)
-    return np.geomspace(lo * scale, hi * scale, num)
+    return np.geomspace(_TAU_LO * scale, _TAU_HI * scale, _TAU_NUM)
 
 
 def select_tau(
@@ -507,8 +504,7 @@ def select_tau(
     k1: CensorSurvival,
     k0: CensorSurvival,
     grid=None,
-    opts: FitOptions | None = None,
-    scad_a: float = 3.7,
+    clip: float = 0.01,
 ):
     """Pick the penalty level by the BIC-type criterion.
 
@@ -518,22 +514,20 @@ def select_tau(
     1e-9 * (1 + |incumbent|). Scores equal up to rounding thus resolve
     toward the larger tau, and the outcome does not depend on the order of
     the supplied grid. The path stops at the first failed fit: the best fit
-    so far is returned, or SelectionError raised if none.
+    so far is returned, or SelectionError raised if none. A fixed tau is
+    the one-value grid [tau]; the SCAD knot is ScadParams' default.
     """
-    opts = opts or FitOptions()
     if grid is None:
         grid = default_tau_grid(data.n, data.p)
     grid = np.sort(np.asarray(grid, dtype=float))[::-1]
-    if grid.size == 0 or np.any(grid <= 0):
+    if grid.size == 0 or not np.all(grid > 0):
         raise InputError("tau grid must be nonempty and positive")
     logn = math.log(data.n)
     best = None
-    path = _Path(data, k1, k0, opts.clip)
+    path = _Path(data, k1, k0, clip)
     for tau in grid:
         try:
-            fit = fit_pel(
-                data, k1, k0, ScadParams(lam=float(tau), a=scad_a), _path=path,
-            )
+            fit = fit_pel(data, k1, k0, ScadParams(lam=float(tau)), _path=path)
         except FitError as exc:
             # fit_pel fails only at its starting points, whose inner dual
             # does not depend on tau, and the path's warm start is left as

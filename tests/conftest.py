@@ -32,6 +32,21 @@ def small_dataset(seed=0, n=60, p=3, censor=True):
     return sc.Dataset(y=y, delta=delta, d=d, x=x)
 
 
+# out-of-range clip bounds and confidence levels; every entry point rejects them
+BAD_CLIPS = [0.0, -0.1, 0.5, 0.7, float("nan")]
+BAD_LEVELS = [0.0, 1.0, 1.5, -0.1, float("nan")]
+
+
+class Untouched:
+    """A stand-in censoring curve: reading any attribute fails the test.
+
+    Passed where an argument check has to fail before any work starts.
+    """
+
+    def __getattr__(self, name):
+        raise AssertionError(f"work started: curve.{name} was read")
+
+
 @pytest.fixture
 def toy_data():
     return small_dataset(seed=3)
@@ -64,7 +79,7 @@ def p10_study():
         k1 = sc.fit_censoring_km(data, 1, floor=cfg.km_floor)
         k0 = sc.fit_censoring_km(data, 0, floor=cfg.km_floor)
         try:
-            _, fit = sc.select_tau(data, k1, k0, opts=sc.FitOptions(clip=cfg.clip))
+            _, fit = sc.select_tau(data, k1, k0, clip=cfg.clip)
             res = sc.ate_with_ci(data, fit, k1, k0)
         except sc.SurvCbpsError:
             n_fail += 1

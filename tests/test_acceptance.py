@@ -70,7 +70,7 @@ def sparsity_runs():
     for rep in range(cfg.replications):
         data, truth = sc.generate_dataset(cfg, rep)
         k1, k0 = _km_fits(data, cfg.km_floor)
-        _, fit = sc.select_tau(data, k1, k0, opts=sc.FitOptions(clip=cfg.clip))
+        _, fit = sc.select_tau(data, k1, k0, clip=cfg.clip)
         null = truth.beta == 0.0
         zero_hits += int(np.sum(fit.beta_hat[null] == 0.0))
         zero_total += int(null.sum())
@@ -96,9 +96,7 @@ def consistency_medians():
             data, truth = sc.generate_dataset(cfg, rep)
             k1, k0 = _km_fits(data, cfg.km_floor)
             try:
-                _, fit = sc.select_tau(
-                    data, k1, k0, opts=sc.FitOptions(clip=cfg.clip)
-                )
+                _, fit = sc.select_tau(data, k1, k0, clip=cfg.clip)
             except sc.SurvCbpsError:
                 errs.append(np.inf)
                 continue

@@ -7,8 +7,8 @@ from survcbps.baselines import fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
 from survcbps.censoring import CensorSurvival
 from survcbps.inference import _hajek_means, _ipcw_weight_arrays, ate_with_ci
 from survcbps.moments import _Design
-from survcbps.solver import FitOptions, fit_pel
-from tests.conftest import small_dataset
+from survcbps.solver import fit_pel
+from tests.conftest import BAD_CLIPS, BAD_LEVELS, Untouched, small_dataset
 
 
 # Reference bootstrap: one resampled copy per resample, refitted from
@@ -176,10 +176,27 @@ def test_naive_ipw_too_few_resamples_gives_nan_se(arms):
     assert np.isfinite(res.ate)
 
 
+BASELINES = [fit_naive_ipw, fit_aipw, fit_cbps_unpenalized]
+
+
+@pytest.mark.parametrize("clip", BAD_CLIPS)
+@pytest.mark.parametrize("fit", BASELINES)
+def test_bad_clip_fails_before_any_work(arms, fit, clip):
+    with pytest.raises(sc.InputError, match="clip"):
+        fit(arms[0], Untouched(), Untouched(), clip=clip)
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS)
+@pytest.mark.parametrize("fit", BASELINES)
+def test_bad_level_fails_before_any_work(arms, fit, level):
+    with pytest.raises(sc.InputError, match="level"):
+        fit(arms[0], Untouched(), Untouched(), level=level)
+
+
 def test_cbps_unpenalized_equals_tau_zero_path(arms):
     data, k1, k0 = arms
     res = fit_cbps_unpenalized(data, k1, k0)
-    fit = fit_pel(data, k1, k0, scad=None, opts=FitOptions())
+    fit = fit_pel(data, k1, k0, scad=None)
     ref = ate_with_ci(data, fit, k1, k0)
     assert res.ate == pytest.approx(ref.ate, abs=1e-12)
     assert res.se == pytest.approx(ref.se, abs=1e-12)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import survcbps as sc
+from survcbps import cli
 from survcbps.cli import _build_parser, _simulate_config, main
 from survcbps.simulation import SimConfig, parse_config_text
-from tests.conftest import small_dataset
+from tests.conftest import BAD_CLIPS, BAD_LEVELS, small_dataset
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +49,17 @@ def test_fit_repeated_runs_identical(data_csv, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_fit_fixed_tau_and_grid(data_csv, capsys):
+def test_fit_fixed_tau_and_grid(data_csv, tmp_path, capsys):
     code = main(["fit", "--data", data_csv, "--tau", "0.08"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["tau"] == 0.08
+    # a fixed tau is the one-value grid
+    paths = [tmp_path / "tau.json", tmp_path / "grid.json"]
+    for flag, path in zip(("--tau", "--tau-grid"), paths):
+        assert main(["fit", "--data", data_csv, flag, "0.08",
+                     "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
     code = main(["fit", "--data", data_csv, "--tau-grid", "0.05,0.1,0.2"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -96,9 +103,17 @@ def test_fit_degenerate_data(tmp_path, capsys):
     assert err_doc["error"]["category"] == "degenerate"
 
 
-def test_fit_bad_seed(data_csv, capsys):
-    code = main(["fit", "--data", data_csv, "--seed", "banana"])
-    assert code == 2
+@pytest.mark.parametrize("argv", (
+    [[f"--clip={c}"] for c in BAD_CLIPS] + [[f"--level={v}"] for v in BAD_LEVELS]
+))
+def test_fit_bad_clip_or_level_fails_before_reading_data(
+    argv, data_csv, capsys, monkeypatch
+):
+    def never(path):
+        raise AssertionError("the data were read")
+
+    monkeypatch.setattr(cli, "parse_csv", never)
+    assert main(["fit", "--data", data_csv, *argv]) == 2
     err_doc = json.loads(capsys.readouterr().out)
     assert err_doc["error"]["category"] == "config"
 

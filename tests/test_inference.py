@@ -10,7 +10,7 @@ from survcbps.inference import (
     weighted_median,
 )
 from survcbps.moments import PropensityParams
-from survcbps.solver import FitOptions, fit_pel
+from survcbps.solver import fit_pel
 from tests.conftest import small_dataset
 
 
@@ -107,7 +107,7 @@ def test_closed_form_ate_gradient_matches_central_differences(sim300, clip):
     clipped and contribute zero slope.
     """
     data, k1, k0 = sim300
-    fit = fit_pel(data, k1, k0, sc.ScadParams(lam=0.05), FitOptions(clip=clip))
+    fit = fit_pel(data, k1, k0, sc.ScadParams(lam=0.05), clip=clip)
     res = ate_with_ci(data, fit, k1, k0)
     beta, active = fit.beta_hat, fit.active_set
     steps = 1e-5 * (1.0 + np.abs(beta[active]))

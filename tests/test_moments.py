@@ -13,6 +13,7 @@ from survcbps.moments import (
     stack_g,
 )
 from survcbps.solver import _logstar
+from tests.conftest import BAD_CLIPS
 
 
 def test_propensity_closed_form():
@@ -28,8 +29,9 @@ def test_propensity_closed_form():
 def test_params_validation():
     with pytest.raises(sc.InputError):
         PropensityParams(beta=np.array([np.nan]))
-    with pytest.raises(sc.InputError):
-        PropensityParams(beta=np.array([1.0]), clip=0.6)
+    for clip in (0.6, *BAD_CLIPS):
+        with pytest.raises(sc.InputError, match="clip"):
+            PropensityParams(beta=np.array([1.0]), clip=clip)
 
 
 def record_moments(params, data, i, k1, k0):

@@ -18,6 +18,7 @@ from survcbps.simulation import (
     true_ate,
     write_outputs,
 )
+from tests.conftest import BAD_CLIPS, BAD_LEVELS
 
 
 def test_config_defaults_and_validation():
@@ -33,6 +34,18 @@ def test_config_defaults_and_validation():
         SimConfig(estimators=("proposed", "magic"))
     with pytest.raises(sc.ConfigError):
         SimConfig(censor_target=1.0)
+
+
+@pytest.mark.parametrize("clip", BAD_CLIPS)
+def test_config_rejects_bad_clip(clip):
+    with pytest.raises(sc.ConfigError, match="clip"):
+        SimConfig(clip=clip)
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS)
+def test_config_rejects_bad_level(level):
+    with pytest.raises(sc.ConfigError, match="level"):
+        SimConfig(level=level)
 
 
 def test_coefficient_vectors():

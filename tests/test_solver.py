@@ -21,7 +21,7 @@ from survcbps.solver import (
     select_tau,
     solve_inner_dual,
 )
-from tests.conftest import small_dataset
+from tests.conftest import BAD_CLIPS, Untouched, small_dataset
 
 
 def oracle_pseudo_log(z, eps):
@@ -319,6 +319,28 @@ def test_select_tau_deterministic(toy_data):
     tau_b, fit_b = select_tau(toy_data, k1, k0)
     assert tau_a == tau_b
     np.testing.assert_array_equal(fit_a.beta_hat, fit_b.beta_hat)
+
+
+def test_a_one_value_grid_is_the_fixed_tau_fit(toy_data):
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    tau, fit = select_tau(toy_data, k1, k0, grid=[0.08], clip=0.02)
+    ref = fit_pel(toy_data, k1, k0, ScadParams(lam=0.08), clip=0.02)
+    assert tau == 0.08 and fit.clip == ref.clip == 0.02
+    np.testing.assert_array_equal(fit.beta_hat, ref.beta_hat)
+    np.testing.assert_array_equal(fit.dual.lam, ref.dual.lam)
+    np.testing.assert_array_equal(fit.objective_trace, ref.objective_trace)
+    with pytest.raises(sc.InputError, match="tau grid"):
+        select_tau(toy_data, Untouched(), Untouched(), grid=[math.nan])
+
+
+@pytest.mark.parametrize("clip", BAD_CLIPS)
+def test_bad_clip_fails_before_any_work(toy_data, clip):
+    curves = Untouched(), Untouched()
+    with pytest.raises(sc.InputError, match="clip"):
+        select_tau(toy_data, *curves, clip=clip)
+    with pytest.raises(sc.InputError, match="clip"):
+        fit_pel(toy_data, *curves, ScadParams(lam=0.1), clip=clip)
 
 
 def _count_calls(monkeypatch, name):
