@@ -173,22 +173,20 @@ def _bootstrap(data, y, delta, d, point_fn, *, clip, floors, n_boot, stream,
         counts = np.empty((min(block, n_boot - start), n))
         for row in counts:
             row[:] = np.bincount(rng.integers(0, n, n), minlength=n)
-        counts = counts[:, order]
-        try:
-            boots.append(replicates(counts))
-        except np.linalg.LinAlgError:
-            for row in counts:
-                try:
-                    boots.append(replicates(row[None]))
-                except np.linalg.LinAlgError:
-                    pass
-    boots = np.concatenate(boots) if boots else np.empty(0)
+        boots.append(replicates(counts[:, order]))
+    boots = np.concatenate(boots)
     failures = n_boot - boots.size
     if failures:
         notes.append(f"{failures} of {n_boot} bootstrap resamples were degenerate")
     if boots.size < 20:
         return float("nan")
     return float(boots.std(ddof=1))
+
+
+def _check_n_boot(n_boot, error=InputError):
+    """Raise ``error`` unless at least one bootstrap resample is asked for."""
+    if n_boot < 1:
+        raise error("n_boot must be >= 1")
 
 
 def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
@@ -201,6 +199,7 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
     """
     _check_clip(clip)
     _z_value(level)
+    _check_n_boot(n_boot)
     notes = []
     if data.n <= data.p:
         notes.append("n <= p: logistic MLE is unstable, ridge 1e-6 applied")
@@ -226,10 +225,8 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
             data, y, delta, d, point_fn, clip=clip, floors=(k0.floor, k1.floor),
             n_boot=n_boot, stream=stream, notes=notes,
         )
-    pi = pi[0]
-    w1, w0 = _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y)
-    return _ate_result(y, d, pi, w1, w0, float(mu1[0]), float(mu0[0]), se,
-                       level, notes)
+    w1, w0 = _ipcw_weight_arrays(y, delta, d, pi[0], k1y, k0y)
+    return _ate_result(y, w1, w0, float(mu1[0]), float(mu0[0]), se, level, notes)
 
 
 def fit_naive_ipw(

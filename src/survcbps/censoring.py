@@ -34,6 +34,12 @@ from .data import Dataset
 from .errors import DegenerateArmError, InputError
 
 
+def _check_floor(floor, error=InputError):
+    """Raise ``error`` unless the curve floor lies in (0, 1); NaN fails too."""
+    if not 0.0 < floor < 1.0:
+        raise error("floor must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class CensorSurvival:
     """Step function K(u) with jump times and post-jump values.
@@ -48,8 +54,7 @@ class CensorSurvival:
     floor: float
 
     def __post_init__(self):
-        if not 0.0 < self.floor < 1.0:
-            raise InputError("floor must lie in (0, 1)")
+        _check_floor(self.floor)
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if times.shape != values.shape:
@@ -74,8 +79,7 @@ class CensorSurvival:
             raise InputError("y and delta must be 1-d arrays of equal length")
         if y.size == 0:
             raise DegenerateArmError("cannot fit a censoring curve on no records")
-        if not 0.0 < floor < 1.0:
-            raise InputError("floor must lie in (0, 1)")
+        _check_floor(floor)
         if not np.all(np.isfinite(y)) or np.any(y < 0):
             raise InputError("y must be finite and nonnegative")
         if not np.all(np.isin(delta, (0, 1))):

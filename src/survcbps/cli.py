@@ -14,8 +14,8 @@ still written), 4 degenerate data (an arm empty or without uncensored
 records). Errors are reported as a JSON object on stdout.
 
 ``fit`` makes one ``select_tau`` call: ``--tau X`` is the one-value grid
-[X], so it writes the same JSON as ``--tau-grid X``. The clip bound and
-the level are checked before the data are read.
+[X], so it writes the same JSON as ``--tau-grid X``. The clip bound, the
+censoring floor and the level are checked before the data are read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .censoring import fit_censoring_km
+from .censoring import _check_floor, fit_censoring_km
 from .data import parse_csv
 from .errors import (
     ConfigError,
@@ -146,6 +146,7 @@ def _emit(doc: dict, out_path) -> None:
 def cmd_fit(args) -> int:
     try:
         _check_clip(args.clip)
+        _check_floor(args.km_floor)
         _z_value(args.level)
         if args.tau is not None:
             grid = [args.tau]

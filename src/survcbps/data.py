@@ -4,20 +4,25 @@ A dataset holds, for each subject, the follow-up time ``y`` (minimum of the
 event time and the censoring time), the event indicator ``delta`` (1 when the
 event was observed, 0 when censored), the binary treatment ``d`` and a row of
 covariates ``x``. Columns are kept as numpy arrays.
+
+A CSV file's header names ``y``, ``delta``, ``d`` and ``x1..xp``, in any order.
+A cell is a number when ``float`` reads it stripped, unless it holds ``_`` or a
+non-ASCII character; nan and inf are rejected. ``parse_csv`` reads with one
+``np.loadtxt`` call, and a cell-by-cell scan names the first bad cell.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateArmError, InputError, RowParseError, SchemaError
 
-_DEFAULT_CORE = ("y", "delta", "d")
+_CORE = ("y", "delta", "d")
 
 
 @dataclass(frozen=True)
@@ -113,144 +118,109 @@ def summarize(data: Dataset) -> SummaryStats:
     )
 
 
-def _parse_cell(token: str, row: int, column: str) -> float:
+def _cell_value(token: str, row: int, k: int, name: str) -> float:
+    """One cell of logical column k (y, delta, d, then x) by the per-cell rule."""
     token = token.strip()
     if token == "":
-        raise RowParseError(row, column, "empty cell")
+        raise RowParseError(row, name, "empty cell")
     try:
+        # float() also reads '1_000' and non-ASCII digits; np.loadtxt does not
+        if "_" in token or not token.isascii():
+            raise ValueError
         value = float(token)
     except ValueError:
-        raise RowParseError(row, column, f"not a number: {token!r}") from None
-    if math.isnan(value) or math.isinf(value):
-        raise RowParseError(row, column, f"non-finite value: {token!r}")
+        raise RowParseError(row, name, f"not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise RowParseError(row, name, f"non-finite value: {token!r}")
+    if k == 0 and value < 0:
+        raise RowParseError(row, name, f"negative time: {value}")
+    if k in (1, 2) and value not in (0.0, 1.0):
+        raise RowParseError(row, name, f"must be 0 or 1, got {value}")
     return value
 
 
-def _check_value(k: int, value: float, row: int, names) -> None:
-    """The value rules of logical column k: y >= 0, delta and d in {0, 1}."""
-    if k == 0 and value < 0:
-        raise RowParseError(row, names[0], f"negative time: {value}")
-    if k in (1, 2) and value not in (0.0, 1.0):
-        raise RowParseError(row, names[k], f"must be 0 or 1, got {value}")
-
-
-def _check_row(cells, row: int, names) -> list:
-    """One row's values by the per-cell rules, in y, delta, d, x order.
-
-    Raises RowParseError at the first bad cell.
-    """
-    values = []
-    for k, (cell, name) in enumerate(zip(cells, names)):
-        values.append(_parse_cell(cell, row, name))
-        _check_value(k, values[-1], row, names)
-    return values
-
-
-def _check_values(rows, names) -> np.ndarray:
-    """Finite rows of y, delta, d, x values as one array.
-
-    Raises the RowParseError of the first row whose y is negative or whose
-    delta or d is not 0/1.
-    """
-    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    ok = (values[:, 0] >= 0) & np.isin(values[:, 1:3], (0.0, 1.0)).all(axis=1)
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        for k, value in enumerate(values[bad, :3].tolist()):
-            _check_value(k, value, bad + 1, names)
-    return values
-
-
-def _resolve_schema(header, schema):
-    """Map the logical columns onto header names.
-
-    Default layout: columns named ``y``, ``delta``, ``d`` plus covariates
-    ``x1..xp`` (matched by name, ordered by index). An explicit ``schema``
-    dict with keys ``y``, ``delta``, ``d`` and ``x`` (list of column names)
-    overrides the defaults.
-    """
-    if schema is None:
-        core = {k: k for k in _DEFAULT_CORE}
-        xcols = []
-        for name in header:
-            if name in _DEFAULT_CORE:
-                continue
-            if name.startswith("x") and name[1:].isdigit():
-                xcols.append(name)
-            else:
-                raise SchemaError(
-                    f"unexpected column {name!r}; expected y, delta, d, x1..xp"
-                )
-        xcols.sort(key=lambda s: int(s[1:]))
-    else:
-        missing_keys = {"y", "delta", "d", "x"} - set(schema)
-        if missing_keys:
-            raise SchemaError(f"schema is missing keys: {sorted(missing_keys)}")
-        core = {k: schema[k] for k in _DEFAULT_CORE}
-        xcols = list(schema["x"])
-    for name in (*core.values(), *xcols):
+def _column_names(header) -> tuple:
+    """The header's names in y, delta, d, x1..xp order (covariates by index)."""
+    xcols = [name for name in header if name not in _CORE]
+    for name in xcols:
+        if not (name.startswith("x") and name[1:].isdecimal()):
+            raise SchemaError(
+                f"unexpected column {name!r}; expected y, delta, d, x1..xp"
+            )
+    for name in _CORE:
         if name not in header:
             raise SchemaError(f"required column {name!r} not found in header")
     if not xcols:
         raise SchemaError("no covariate columns found")
-    return core, xcols
+    return (*_CORE, *sorted(xcols, key=lambda s: int(s[1:])))
 
 
-def parse_csv(path, schema=None) -> Dataset:
-    """Read a dataset from a CSV file with a header row.
+def _load(text, width, cols):
+    """Each line of ``text`` as a row of its ``cols`` cells, read by np.loadtxt.
 
-    Raises SchemaError for missing/unknown columns, RowParseError (naming
-    the 1-based data row and the column) for bad cells, DegenerateArmError
-    for inputs on which the estimator is undefined.
-
-    Each row's cells are converted with float(), and the value rules are
-    checked over the whole array at once. Only a row that fails to convert
-    or holds a non-finite value goes through the per-cell rules, which name
-    its first bad cell; any error is the one a cell-by-cell scan in
-    row-major, y/delta/d/x order raises.
+    None when loadtxt fails, a line gives no row (blank, or in a quoted cell)
+    or a value breaks a rule.
     """
+    if not text.strip():
+        return None  # loadtxt warns on input without data
+    try:
+        values = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                            quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (text.count("\n") + (not text.endswith("\n")), width):
+        return None
+    values = values[:, cols]
+    rules = (values[:, 0] >= 0).all() and np.isin(values[:, 1:3], (0.0, 1.0)).all()
+    return values if rules and np.isfinite(values).all() else None
+
+
+def _scan(path, width, cols, names) -> np.ndarray:
+    """The rows of their ``cols`` cells, read one csv record and cell at a time.
+
+    Raises the RowParseError of the first bad cell, in row-major order.
+    """
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        next(reader)
+        for num, record in enumerate(reader, start=1):
+            if len(record) != width:
+                raise RowParseError(
+                    num, "<row>", f"expected {width} cells, got {len(record)}"
+                )
+            rows.append([
+                _cell_value(record[j], num, k, name)
+                for k, (j, name) in enumerate(zip(cols, names))
+            ])
+    return np.array(rows, dtype=float)
+
+
+def parse_csv(path) -> Dataset:
+    """Read a dataset from a CSV file with a header row.
+
+    Raises SchemaError for missing or unknown columns or fewer than two data
+    rows, RowParseError (naming the 1-based data row and the column) for a bad
+    cell or a ragged row, and DegenerateArmError for inputs on which the estimator
+    is undefined. When ``_load`` cannot vouch for the values, ``_scan`` raises
+    the first bad cell's error, or returns the values if no cell is bad.
+    """
+    with open(path) as fh:
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise SchemaError("empty file") from None
-        header = [h.strip() for h in header]
-        core, xcols = _resolve_schema(header, schema)
-        names = (core["y"], core["delta"], core["d"], *xcols)
-        pick = operator.itemgetter(*(header.index(name) for name in names))
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                _check_values(rows, names)
-                raise RowParseError(
-                    len(rows) + 1, "<row>",
-                    f"expected {len(header)} cells, got {len(row)}",
-                )
-            cells = pick(row)
-            try:
-                converted = list(map(float, cells))
-            except ValueError:
-                converted = None
-            # a nan or inf cell makes the sum non-finite; a sum that only
-            # overflows sends a good row through the per-cell rules
-            if converted is None or not math.isfinite(sum(converted)):
-                try:
-                    converted = _check_row(cells, len(rows) + 1, names)
-                except RowParseError:
-                    # a value rule broken in an earlier row comes first
-                    _check_values(rows, names)
-                    raise
-            rows.append(converted)
-    values = _check_values(rows, names)
+        text = fh.read()
+    names = _column_names(header)
+    cols = [header.index(name) for name in names]
+    values = _load(text, len(header), cols)
+    if values is None:
+        values = _scan(path, len(header), cols, names)
     if values.shape[0] < 2:
         raise SchemaError("file contains fewer than two data rows")
     return Dataset(
-        y=values[:, 0].copy(),
-        delta=values[:, 1],
-        d=values[:, 2],
-        x=np.ascontiguousarray(values[:, 3:]),
-        covariate_names=tuple(xcols),
+        y=values[:, 0].copy(), delta=values[:, 1], d=values[:, 2],
+        x=np.ascontiguousarray(values[:, 3:]), covariate_names=names[3:],
     )
 
 

@@ -10,6 +10,10 @@ reweighted by the inverse of the arm-specific probability of remaining
 uncensored, which restores the mean of the latent event time under
 covariate-independent censoring within arm.
 
+The medians ``median1`` and ``median0`` are weighted medians of Y under the
+same IPCW weights, normalized to sum to one in each arm, so they estimate
+the medians of the latent event time, not of the follow-up.
+
 Two standard errors are computed:
 
 ``se_propensity``
@@ -126,19 +130,16 @@ def ipcw_ipw_means(
     return _hajek_means(data.y, w1, w0)
 
 
-def _normalized_from_pi(d, pi):
-    """(W1, W0) of ``normalized_weights`` from treatment d and propensities pi."""
+def normalized_weights(data: Dataset, params: PropensityParams):
+    """Self-normalized inverse propensity weights (W1, W0), each summing to 1."""
+    d = data.d.astype(float)
+    pi = propensity(params, data.x)
     raw1 = d / pi
     raw0 = (1.0 - d) / (1.0 - pi)
     s1, s0 = raw1.sum(), raw0.sum()
     if s1 <= 0 or s0 <= 0:
         raise DegenerateArmError("an arm has zero total inverse propensity weight")
     return raw1 / s1, raw0 / s0
-
-
-def normalized_weights(data: Dataset, params: PropensityParams):
-    """Self-normalized inverse propensity weights (W1, W0), each summing to 1."""
-    return _normalized_from_pi(data.d.astype(float), propensity(params, data.x))
 
 
 def weighted_median(y, w) -> float:
@@ -202,18 +203,17 @@ def _z_value(level, error=InputError):
     return float(ndtri(0.5 + level / 2.0))
 
 
-def _ate_result(y, d, pi, w1, w0, mu1, mu0, se, level, notes,
+def _ate_result(y, w1, w0, mu1, mu0, se, level, notes,
                 se_propensity=float("nan")) -> ATEResult:
     """The ATEResult of mu1, mu0 and se, for this estimator and the baselines.
 
-    Adds the normal interval, the medians under pi's self-normalized inverse
-    propensity weights and the Kish sizes of the IPCW weights w1, w0.
+    Adds the normal interval, and the medians and Kish sizes of the IPCW
+    weights w1, w0.
     """
     ate = mu1 - mu0
     z = _z_value(level)
-    w1n, w0n = _normalized_from_pi(d, pi)
-    med1 = weighted_median(y, w1n)
-    med0 = weighted_median(y, w0n)
+    med1 = weighted_median(y, w1 / w1.sum())
+    med0 = weighted_median(y, w0 / w0.sum())
     return ATEResult(
         mu1=mu1,
         mu0=mu0,
@@ -282,4 +282,4 @@ def ate_with_ci(
 
     infl = phi + psi
     se = math.sqrt(float(infl @ infl))
-    return _ate_result(y, dvec, pi, w1, w0, mu1, mu0, se, level, notes, se_prop)
+    return _ate_result(y, w1, w0, mu1, mu0, se, level, notes, se_prop)

@@ -154,17 +154,16 @@ class _Design:
 def _solve(a, b, fallback):
     """Solve each system ``a[k] x = b[k]`` of a stack.
 
-    A singular system alone in its stack takes ``fallback(a[0], b[0])``. In a
-    larger stack ``LinAlgError`` propagates, and the baseline bootstrap refits
-    that block one resample at a time, so every resample gets its own
-    fallback.
+    When one is singular, each system is solved alone, and a singular one
+    takes ``fallback(a[k], b[k])``; the others keep the stacked solution.
     """
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        if a.shape[0] > 1:
-            raise
-        return fallback(a[0], b[0])[None]
+        if a.shape[0] == 1:
+            return fallback(a[0], b[0])[None]
+        return np.concatenate([_solve(ak[None], bk[None], fallback)
+                               for ak, bk in zip(a, b)])
 
 
 def _lstsq(a, b):

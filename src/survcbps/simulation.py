@@ -32,8 +32,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
 
-from .baselines import fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
-from .censoring import fit_censoring_km
+from .baselines import _check_n_boot, fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
+from .censoring import _check_floor, fit_censoring_km
 from .data import Dataset
 from .errors import ConfigError, DumpFormatError, SurvCbpsError
 from .inference import _z_value, ate_with_ci
@@ -95,7 +95,9 @@ class SimConfig:
                     f"unknown estimator {name!r}; known: {ESTIMATOR_ORDER}"
                 )
         _check_clip(self.clip, ConfigError)
+        _check_floor(self.km_floor, ConfigError)
         _z_value(self.level, ConfigError)
+        _check_n_boot(self.n_boot, ConfigError)
 
 
 @dataclass(frozen=True)

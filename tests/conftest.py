@@ -35,6 +35,9 @@ def small_dataset(seed=0, n=60, p=3, censor=True):
 # out-of-range clip bounds and confidence levels; every entry point rejects them
 BAD_CLIPS = [0.0, -0.1, 0.5, 0.7, float("nan")]
 BAD_LEVELS = [0.0, 1.0, 1.5, -0.1, float("nan")]
+# out-of-range censoring-curve floors and bootstrap sizes
+BAD_FLOORS = [0.0, 1.0, 1.5, -0.1, float("nan")]
+BAD_N_BOOTS = [0, -3]
 
 
 class Untouched:

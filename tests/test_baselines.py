@@ -8,7 +8,9 @@ from survcbps.censoring import CensorSurvival
 from survcbps.inference import _hajek_means, _ipcw_weight_arrays, ate_with_ci
 from survcbps.moments import _Design
 from survcbps.solver import fit_pel
-from tests.conftest import BAD_CLIPS, BAD_LEVELS, Untouched, small_dataset
+from tests.conftest import (
+    BAD_CLIPS, BAD_LEVELS, BAD_N_BOOTS, Untouched, small_dataset,
+)
 
 
 # Reference bootstrap: one resampled copy per resample, refitted from
@@ -191,6 +193,13 @@ def test_bad_clip_fails_before_any_work(arms, fit, clip):
 def test_bad_level_fails_before_any_work(arms, fit, level):
     with pytest.raises(sc.InputError, match="level"):
         fit(arms[0], Untouched(), Untouched(), level=level)
+
+
+@pytest.mark.parametrize("n_boot", BAD_N_BOOTS)
+@pytest.mark.parametrize("fit", [fit_naive_ipw, fit_aipw])
+def test_bad_n_boot_fails_before_any_work(arms, fit, n_boot):
+    with pytest.raises(sc.InputError, match="n_boot"):
+        fit(arms[0], Untouched(), Untouched(), n_boot=n_boot)
 
 
 def test_cbps_unpenalized_equals_tau_zero_path(arms):

@@ -3,6 +3,7 @@ import pytest
 
 import survcbps as sc
 from survcbps.censoring import CensorSurvival, _product_limit
+from tests.conftest import BAD_FLOORS
 
 
 def brute_force_censor_survival(y, delta, u):
@@ -181,6 +182,14 @@ def test_constructor_validation():
                        floor=0.05)
     with pytest.raises(sc.InputError):
         CensorSurvival(times=np.array([1.0]), values=np.array([0.9]), floor=1.5)
+
+
+@pytest.mark.parametrize("floor", BAD_FLOORS)
+def test_bad_floor_is_rejected(floor):
+    with pytest.raises(sc.InputError, match="floor"):
+        CensorSurvival.fit(np.array([1.0, 2.0]), np.array([0, 1]), floor=floor)
+    with pytest.raises(sc.InputError, match="floor"):
+        CensorSurvival(times=np.array([1.0]), values=np.array([0.9]), floor=floor)
 
 
 def test_fit_censoring_km_per_arm(toy_data):

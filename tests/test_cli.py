@@ -7,7 +7,7 @@ import survcbps as sc
 from survcbps import cli
 from survcbps.cli import _build_parser, _simulate_config, main
 from survcbps.simulation import SimConfig, parse_config_text
-from tests.conftest import BAD_CLIPS, BAD_LEVELS, small_dataset
+from tests.conftest import BAD_CLIPS, BAD_FLOORS, BAD_LEVELS, small_dataset
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,7 @@ def test_fit_degenerate_data(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", (
     [[f"--clip={c}"] for c in BAD_CLIPS] + [[f"--level={v}"] for v in BAD_LEVELS]
+    + [[f"--km-floor={f}"] for f in BAD_FLOORS]
 ))
 def test_fit_bad_clip_or_level_fails_before_reading_data(
     argv, data_csv, capsys, monkeypatch

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import survcbps as sc
 from survcbps.data import summarize
@@ -100,21 +103,10 @@ def test_parse_csv_unknown_column(tmp_path):
     path.write_text("y,delta,d,age\n1.0,1,1,30\n2.0,1,0,40\n")
     with pytest.raises(sc.SchemaError):
         sc.parse_csv(path)
-
-
-def test_parse_csv_explicit_schema(tmp_path):
-    path = tmp_path / "named.csv"
-    path.write_text(
-        "time,event,treat,age,bmi\n"
-        "1.0,1,1,30,22\n"
-        "2.0,1,0,40,25\n"
-        "3.0,0,1,50,27\n"
-        "4.0,1,0,60,24\n"
-    )
-    schema = {"y": "time", "delta": "event", "d": "treat", "x": ["age", "bmi"]}
-    data = sc.parse_csv(path, schema=schema)
-    assert data.covariate_names == ("age", "bmi")
-    np.testing.assert_allclose(data.x[:, 0], [30, 40, 50, 60])
+    # a digit that int() cannot read
+    path.write_text("y,delta,d,x²\n1.0,1,1,30\n2.0,1,0,40\n")
+    with pytest.raises(sc.SchemaError, match="x²"):
+        sc.parse_csv(path)
 
 
 def test_parse_csv_bad_cell_names_row_and_column(tmp_path):
@@ -150,13 +142,14 @@ def test_parse_csv_ragged_row(tmp_path):
 
 
 def test_parse_csv_empty_and_tiny_files(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(sc.SchemaError):
-        sc.parse_csv(path)
-    path.write_text("y,delta,d,x1\n1.0,1,1,0.5\n")
-    with pytest.raises(sc.SchemaError):
-        sc.parse_csv(path)
+    """Empty, header-only and one-row files; no np.loadtxt warning escapes."""
+    path = tmp_path / "tiny.csv"
+    for text in ("", "y,delta,d,x1\n", "y,delta,d,x1", "y,delta,d,x1\n1.0,1,1,0.5\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sc.SchemaError):
+                sc.parse_csv(path)
 
 
 def reference_parse_error(path):
@@ -170,6 +163,8 @@ def reference_parse_error(path):
         if token == "":
             return None, (row, column, "empty cell")
         try:
+            if "_" in token or not token.isascii():
+                raise ValueError
             value = float(token)
         except ValueError:
             return None, (row, column, f"not a number: {token!r}")
@@ -208,6 +203,8 @@ BAD_CELLS = {
     "non_binary": {"delta": "2"},
     "fractional_treatment": {"d": "0.5"},
     "two_faults": {"x1": "nan", "delta": "3"},
+    "underscore": {"x2": "1_000"},
+    "non_ascii": {"x1": "１２"},
     "ragged": None,
 }
 
@@ -222,7 +219,7 @@ def _write_rows(path, faults, n=40):
     for i in range(1, n + 1):
         cells = {"y": f"{0.5 + i / 7:.6f}", "delta": "1" if i % 3 else "0",
                  "d": str(i % 2), "x1": f"{np.sin(i):.17g}",
-                 "x2": " 1_000", "x3": f"{-i / 3:.4e}"}
+                 "x2": " 1000", "x3": f"{-i / 3:.4e}"}
         if i == 20:
             cells.update(x1="1e308", x3="1.7e308")
         line = ",".join(cells[h] for h in header)
@@ -236,6 +233,19 @@ def _write_rows(path, faults, n=40):
     path.write_text("\n".join(lines) + "\n")
 
 
+def assert_reads_like_reference(path):
+    """parse_csv raises the reference scan's error, or reads the file."""
+    expected = reference_parse_error(path)
+    if expected is None:
+        return sc.parse_csv(path)
+    with pytest.raises(sc.RowParseError) as exc:
+        sc.parse_csv(path)
+    row, column, message = expected
+    assert (exc.value.row, exc.value.column) == (row, column)
+    assert str(exc.value) == f"row {row}, column {column!r}: {message}"
+    return None
+
+
 @pytest.mark.parametrize("late", sorted(BAD_CELLS))
 @pytest.mark.parametrize("early", [None, *sorted(BAD_CELLS)])
 def test_parse_csv_error_matches_a_cell_by_cell_scan(tmp_path, early, late):
@@ -246,11 +256,49 @@ def test_parse_csv_error_matches_a_cell_by_cell_scan(tmp_path, early, late):
     _write_rows(path, faults)
     expected = reference_parse_error(path)
     assert expected is not None and expected[0] == (3 if early else 38)
-    with pytest.raises(sc.RowParseError) as exc:
-        sc.parse_csv(path)
-    row, column, message = expected
-    assert (exc.value.row, exc.value.column) == (row, column)
-    assert str(exc.value) == f"row {row}, column {column!r}: {message}"
+    assert_reads_like_reference(path)
+
+
+def test_parse_csv_blank_line_is_a_ragged_row(tmp_path):
+    path = tmp_path / "blank.csv"
+    _write_rows(path, {})
+    lines = path.read_text().split("\n")
+    lines.insert(21, "")
+    path.write_text("\n".join(lines))
+    assert reference_parse_error(path) == (21, "<row>", "expected 6 cells, got 0")
+    assert_reads_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "cell", ['"0.25"', '" 0.25 "', '"0.25\n"', '"0.25\r\n"', '"0.2""5"', '"0,25"'],
+)
+def test_parse_csv_quoted_cell(tmp_path, cell):
+    path = tmp_path / "quoted.csv"
+    _write_rows(path, {5: {"x1": cell}})
+    data = assert_reads_like_reference(path)
+    if data is not None:
+        assert data.n == 40 and data.x[4, 0] == 0.25
+
+
+# number-like cell tokens; none holds a delimiter, a quote or a line break
+NUMBER_LIKE = st.one_of(
+    st.sampled_from(["0", "1", " 1.0 ", "1e0", "-0", "+1", "2", "0_1", "１", "\xa01"]),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-_ \tnaifINF\xa0１", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.tuples(NUMBER_LIKE, NUMBER_LIKE, NUMBER_LIKE, NUMBER_LIKE))
+def test_parse_csv_reads_a_row_exactly_when_the_reference_does(
+    tmp_path_factory, tokens
+):
+    path = tmp_path_factory.getbasetemp() / "one_row.csv"
+    path.write_text("y,delta,d,x1\n" + ",".join(tokens) + "\n1,1,1,0\n2,1,0,0\n")
+    data = assert_reads_like_reference(path)
+    if data is not None:
+        row = [data.y[0], data.delta[0], data.d[0], data.x[0, 0]]
+        assert row == [float(t) for t in tokens]
 
 
 def test_parse_csv_reads_what_float_reads(tmp_path):

@@ -83,6 +83,37 @@ def test_ate_with_ci_fields(toy_data):
     assert d["ate"] == res.ate and d["level"] == 0.95
 
 
+def test_medians_without_censoring_equal_the_inverse_propensity_medians(
+    toy_uncensored,
+):
+    """With delta = 1 and K = 1 the IPCW weights are d / pi bit for bit."""
+    fit, k1, k0 = _fitted(toy_uncensored)
+    res = ate_with_ci(toy_uncensored, fit, k1, k0)
+    w1, w0 = normalized_weights(toy_uncensored, fit.params)
+    assert res.median1 == weighted_median(toy_uncensored.y, w1)
+    assert res.median0 == weighted_median(toy_uncensored.y, w0)
+
+
+def test_medians_under_censoring_estimate_the_event_time_medians():
+    """Exponential event times, randomized treatment, independent censoring.
+
+    The medians of the follow-up min(T, C) are ln 2 and ln 2 / 1.5 here,
+    well below the event-time medians 2 ln 2 and ln 2.
+    """
+    rng = np.random.default_rng(8)
+    n = 8000
+    d = (rng.random(n) < 0.5).astype(int)
+    t = rng.exponential(np.where(d == 1, 2.0, 1.0))
+    c = rng.exponential(2.0, n)
+    data = sc.Dataset(y=np.minimum(t, c), delta=(t <= c).astype(int), d=d,
+                      x=rng.standard_normal((n, 2)))
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    res = ate_with_ci(data, fit_pel(data, k1, k0, scad=None), k1, k0)
+    assert res.median1 == pytest.approx(2 * np.log(2), abs=0.1)
+    assert res.median0 == pytest.approx(np.log(2), abs=0.1)
+
+
 def test_ci_level_changes_width(toy_data):
     fit, k1, k0 = _fitted(toy_data)
     res95 = ate_with_ci(toy_data, fit, k1, k0, level=0.95)

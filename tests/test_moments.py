@@ -6,7 +6,9 @@ from scipy.special import expit
 import survcbps as sc
 from survcbps.moments import (
     PropensityParams,
+    _lstsq,
     _row_pieces,
+    _solve,
     _weighted_gram,
     jacobian_g,
     propensity,
@@ -166,3 +168,17 @@ def test_symmetric_products_match_general_products(toy_data):
             toy_data.delta.astype(float), k1y, k0y,
         )[4]
         close(jacobian_g(params, toy_data, k1, k0)[:p], (x * b[:, None]).T @ x / n)
+
+
+@pytest.mark.parametrize("singular", [[0], [1], [0, 2]])
+def test_solve_gives_each_singular_system_its_fallback(singular):
+    """In a stack of any size, a singular system takes the fallback alone."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 4, 4))
+    a = a @ a.transpose(0, 2, 1) + np.eye(4)
+    a[singular] = np.ones((4, 4))
+    b = rng.standard_normal((3, 4))
+    x = _solve(a, b, _lstsq)
+    for k in range(3):
+        expected = _lstsq(a[k], b[k]) if k in singular else np.linalg.solve(a[k], b[k])
+        np.testing.assert_allclose(x[k], expected, rtol=1e-12, atol=0)

@@ -18,7 +18,7 @@ from survcbps.simulation import (
     true_ate,
     write_outputs,
 )
-from tests.conftest import BAD_CLIPS, BAD_LEVELS
+from tests.conftest import BAD_CLIPS, BAD_FLOORS, BAD_LEVELS, BAD_N_BOOTS
 
 
 def test_config_defaults_and_validation():
@@ -46,6 +46,18 @@ def test_config_rejects_bad_clip(clip):
 def test_config_rejects_bad_level(level):
     with pytest.raises(sc.ConfigError, match="level"):
         SimConfig(level=level)
+
+
+@pytest.mark.parametrize("km_floor", BAD_FLOORS)
+def test_config_rejects_bad_km_floor(km_floor):
+    with pytest.raises(sc.ConfigError, match="floor"):
+        SimConfig(km_floor=km_floor)
+
+
+@pytest.mark.parametrize("n_boot", BAD_N_BOOTS)
+def test_config_rejects_bad_n_boot(n_boot):
+    with pytest.raises(sc.ConfigError, match="n_boot"):
+        SimConfig(n_boot=n_boot)
 
 
 def test_coefficient_vectors():
