@@ -29,7 +29,6 @@ from .errors import (
 from .inference import (
     ATEResult,
     ate_with_ci,
-    ipcw_ipw_means,
     normalized_weights,
     weighted_median,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "fit_pel",
     "fit_censoring_km",
     "generate_dataset",
-    "ipcw_ipw_means",
     "jacobian_g",
     "load_config",
     "lqa_weight",

@@ -6,7 +6,8 @@ main estimator:
 ``fit_naive_ipw``
     plain logistic maximum likelihood (with intercept, no penalty, no
     balance constraints) plugged into the same censoring-adjusted weighted
-    means.
+    means: the IPCW weights of ``moments._ipcw_weights`` on the own-arm
+    curve K_D(Y) (``moments._own_arm_k``).
 
 ``fit_cbps_unpenalized``
     the tau = 0 path of the penalized solver: all p coefficients kept, no
@@ -47,7 +48,6 @@ full-sample design only ever sees one row and never forms it.
 from __future__ import annotations
 
 import warnings as _warnings
-from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -55,14 +55,11 @@ from scipy.special import expit
 from .censoring import CensorSurvival, _product_limit
 from .data import Dataset
 from .errors import DegenerateArmError, InputError
-from .inference import (
-    ATEResult,
-    _ate_result,
-    _ipcw_weight_arrays,
-    _z_value,
-    ate_with_ci,
+from .inference import ATEResult, _ate_result, _z_value, ate_with_ci
+from .moments import (
+    _BLOCK_FLOATS, _check_clip, _Design, _ipcw_weights, _logistic_mle,
+    _own_arm_k, _solve,
 )
-from .moments import _BLOCK_FLOATS, _check_clip, _Design, _logistic_mle, _solve
 from .solver import fit_pel
 
 
@@ -77,8 +74,7 @@ def _propensity(design, d, counts, clip):
 
 def _ipw_means(c, y, delta, d, design, pi, kdy):
     """Count-weighted Hajek means; ``ok`` is False where an arm has zero weight."""
-    w1 = c * (d * delta / (pi * kdy))
-    w0 = c * ((1.0 - d) * delta / ((1.0 - pi) * kdy))
+    w1, w0 = (c * w for w in _ipcw_weights(delta, d, pi, kdy))
     den1, den0 = w1.sum(axis=1), w0.sum(axis=1)
     ok = ~((den1 <= 0.0) | (den0 <= 0.0))
     return (w1[ok] @ y) / den1[ok], (w0[ok] @ y) / den0[ok], ok
@@ -111,20 +107,16 @@ def _outcome_coef(design, ca, ytil):
     return coef
 
 
-def _aipw_means(c, y, delta, d, design, pi, kdy, outcome_model):
+def _aipw_means(c, y, delta, d, design, pi, kdy):
     """Count-weighted AIPW means; ``ok`` is False where an arm has < 2 rows."""
     ytil = delta * y / kdy
-    if outcome_model == "zero":
-        ok = np.ones(c.shape[0], dtype=bool)
-        m1 = m0 = np.zeros(ytil.shape)
-    else:
-        n1 = c @ d
-        ok = (n1 >= 2) & (c.sum(axis=1) - n1 >= 2)
-        c, ytil, pi = c[ok], ytil[ok], pi[ok]
-        x = design.x
-        m1, m0 = (
-            _outcome_coef(design, ca, ytil) @ x.T for ca in (c * d, c * (1.0 - d))
-        )
+    n1 = c @ d
+    ok = (n1 >= 2) & (c.sum(axis=1) - n1 >= 2)
+    c, ytil, pi = c[ok], ytil[ok], pi[ok]
+    x = design.x
+    m1, m0 = (
+        _outcome_coef(design, ca, ytil) @ x.T for ca in (c * d, c * (1.0 - d))
+    )
     n = y.shape[0]
     mu1 = (c * (m1 + d * (ytil - m1) / pi)).sum(axis=1) / n
     mu0 = (c * (m0 + (1.0 - d) * (ytil - m0) / (1.0 - pi))).sum(axis=1) / n
@@ -206,13 +198,12 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
     y = data.y
     delta = data.delta.astype(float)
     d = data.d.astype(float)
-    k1y, k0y = k1.evaluate(y), k0.evaluate(y)
+    kdy = _own_arm_k(data, k1, k0)
     design = _Design(np.column_stack((np.ones(data.n), data.x)))
     ones = np.ones((1, data.n))
     pi, clean = _propensity(design, d, ones, clip)
     if not clean[0]:
         notes.append("separation detected; propensity refit with ridge 1e-2")
-    kdy = np.where(d == 1, k1y, k0y)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         mu1, mu0, ok = point_fn(ones, y, delta, d, design, pi, kdy[None])
@@ -225,7 +216,7 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
             data, y, delta, d, point_fn, clip=clip, floors=(k0.floor, k1.floor),
             n_boot=n_boot, stream=stream, notes=notes,
         )
-    w1, w0 = _ipcw_weight_arrays(y, delta, d, pi[0], k1y, k0y)
+    w1, w0 = _ipcw_weights(delta, d, pi[0], kdy)
     return _ate_result(y, w1, w0, float(mu1[0]), float(mu0[0]), se, level, notes)
 
 
@@ -268,12 +259,9 @@ def fit_aipw(
     level: float = 0.95,
     n_boot: int = 200,
     seed: int = 0,
-    outcome_model: str = "linear",
 ) -> ATEResult:
     """Augmented IPW with censoring-transformed linear outcome regressions."""
-    if outcome_model not in ("linear", "zero"):
-        raise InputError("outcome_model must be 'linear' or 'zero'")
     return _fit_baseline(
-        data, k1, k0, partial(_aipw_means, outcome_model=outcome_model),
+        data, k1, k0, _aipw_means,
         clip=clip, level=level, n_boot=n_boot, stream=(seed, 0x2F),
     )

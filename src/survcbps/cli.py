@@ -8,10 +8,11 @@ Three subcommands:
 ``report``    re-render the summary table from a stored dump.json without
               recomputing anything
 
-Exit codes: 0 success, 2 file/schema/configuration problems, 3 convergence
-failures (for simulate: more than 5% of replications failed; outputs are
-still written), 4 degenerate data (an arm empty or without uncensored
-records). Errors are reported as a JSON object on stdout.
+Exit codes: 0 success, 2 file/schema/configuration problems (among them a
+file or directory that cannot be read or written, and input that is not
+UTF-8), 3 convergence failures (for simulate: more than 5% of replications
+failed; outputs are still written), 4 degenerate data (an arm empty or
+without uncensored records). Errors are reported as a JSON object on stdout.
 
 ``fit`` makes one ``select_tau`` call: ``--tau X`` is the one-value grid
 [X], so it writes the same JSON as ``--tau-grid X``. The clip bound, the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -61,6 +63,10 @@ _EXIT_DEGENERATE = 4
 def _fail(category: str, message: str, code: int) -> int:
     print(json.dumps({"error": {"category": category, "message": message}}))
     return code
+
+
+def _fail_file(path, exc: OSError) -> int:
+    return _fail("file", f"{path}: {exc.strerror or exc}", _EXIT_INPUT)
 
 
 def _parse_seed(text: str) -> int:
@@ -160,8 +166,8 @@ def cmd_fit(args) -> int:
         return _fail("config", f"bad --tau-grid: {args.tau_grid!r}", _EXIT_INPUT)
     try:
         data = parse_csv(args.data)
-    except FileNotFoundError:
-        return _fail("file", f"no such file: {args.data}", _EXIT_INPUT)
+    except OSError as exc:
+        return _fail_file(args.data, exc)
     except (SchemaError, RowParseError, InputError) as exc:
         return _fail("schema", str(exc), _EXIT_INPUT)
     except DegenerateArmError as exc:
@@ -177,7 +183,10 @@ def cmd_fit(args) -> int:
         return _fail("convergence", str(exc), _EXIT_CONVERGENCE)
     except InputError as exc:
         return _fail("config", str(exc), _EXIT_INPUT)
-    _emit(_fit_doc(data, tau, fit, result), args.out)
+    try:
+        _emit(_fit_doc(data, tau, fit, result), args.out)
+    except OSError as exc:
+        return _fail_file(args.out, exc)
     if not fit.converged:
         print("warning: propensity fit did not converge", file=sys.stderr)
         return _EXIT_CONVERGENCE
@@ -203,14 +212,21 @@ def _simulate_config(args) -> SimConfig:
 def cmd_simulate(args) -> int:
     try:
         config = _simulate_config(args)
-    except FileNotFoundError:
-        return _fail("file", f"no such file: {args.config}", _EXIT_INPUT)
-    except ConfigError as exc:
+    except OSError as exc:
+        return _fail_file(args.config, exc)
+    except (ConfigError, UnicodeDecodeError) as exc:
         return _fail("config", str(exc), _EXIT_INPUT)
     if args.workers < 1:
         return _fail("config", "--workers must be >= 1", _EXIT_INPUT)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        return _fail_file(args.out_dir, exc)
     report = run_study(config, workers=args.workers)
-    paths = write_outputs(report, args.out_dir)
+    try:
+        paths = write_outputs(report, args.out_dir)
+    except OSError as exc:
+        return _fail_file(args.out_dir, exc)
     print(report.render_table())
     print(
         f"wrote {paths['report']}, {paths['timings']}, {paths['dump']}",
@@ -224,11 +240,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        with open(args.infile) as fh:
+        with open(args.infile, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        return _fail("file", f"no such file: {args.infile}", _EXIT_INPUT)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        return _fail_file(args.infile, exc)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail("dump", f"not valid JSON: {exc}", _EXIT_INPUT)
     try:
         report = SimReport.from_dump(doc)

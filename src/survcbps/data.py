@@ -181,7 +181,7 @@ def _scan(path, width, cols, names) -> np.ndarray:
     Raises the RowParseError of the first bad cell, in row-major order.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for num, record in enumerate(reader, start=1):
@@ -199,18 +199,22 @@ def _scan(path, width, cols, names) -> np.ndarray:
 def parse_csv(path) -> Dataset:
     """Read a dataset from a CSV file with a header row.
 
-    Raises SchemaError for missing or unknown columns or fewer than two data
-    rows, RowParseError (naming the 1-based data row and the column) for a bad
-    cell or a ragged row, and DegenerateArmError for inputs on which the estimator
-    is undefined. When ``_load`` cannot vouch for the values, ``_scan`` raises
-    the first bad cell's error, or returns the values if no cell is bad.
+    Raises SchemaError for a file that is not UTF-8 text, missing or unknown
+    columns or fewer than two data rows, RowParseError (naming the 1-based
+    data row and the column) for a bad cell or a ragged row, and
+    DegenerateArmError for inputs on which the estimator is undefined. When
+    ``_load`` cannot vouch for the values, ``_scan`` raises the first bad
+    cell's error, or returns the values if no cell is bad.
     """
-    with open(path) as fh:
-        try:
-            header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise SchemaError("empty file") from None
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                header = [h.strip() for h in next(csv.reader(fh))]
+            except StopIteration:
+                raise SchemaError("empty file") from None
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise SchemaError("file is not UTF-8 text") from None
     names = _column_names(header)
     cols = [header.index(name) for name in names]
     values = _load(text, len(header), cols)

@@ -3,11 +3,14 @@
 Point estimates are ratio (Hajek) forms of the censoring-adjusted inverse
 probability weighted means,
 
-    mu1 = sum_i D_i Delta_i Y_i / (pi_i K1(Y_i)) / sum_i D_i Delta_i / (pi_i K1(Y_i))
+    mu1 = sum_i w1_i Y_i / sum_i w1_i,   w1_i = D_i Delta_i / (pi_i K_D(Y_i))
 
-and the control analogue with 1 - D, 1 - pi, K0. Uncensored subjects are
-reweighted by the inverse of the arm-specific probability of remaining
-uncensored, which restores the mean of the latent event time under
+and the control analogue with w0_i = (1 - D_i) Delta_i / ((1 - pi_i) K_D(Y_i)),
+where K_D is the censoring curve of the subject's own arm. The weights come
+from the row pass that forms the moments (``moments._row_pieces``), which
+takes them from ``moments._ipcw_weights`` as the baselines do. Uncensored
+subjects are reweighted by the inverse of the arm-specific probability of
+remaining uncensored, which restores the mean of the latent event time under
 covariate-independent censoring within arm.
 
 The medians ``median1`` and ``median0`` are weighted medians of Y under the
@@ -26,7 +29,9 @@ Two standard errors are computed:
         grad_h = X_A' (dc1 (Y - mu1) / sum w1 - dc0 (Y - mu0) / sum w0),
 
     where rows whose propensity is clipped have zero slope, as in the
-    moment Jacobian.
+    moment Jacobian. At a row with x' beta on a clip bound the ATE map has a
+    kink and this is one side's slope; ``ate_with_ci`` then says so in its
+    warnings.
 
 ``se``
     the full first-order influence-function standard error. It adds the
@@ -52,9 +57,13 @@ from .censoring import CensorSurvival
 from .data import Dataset
 from .errors import DegenerateArmError, InputError, SingularMatrixError
 from .moments import (
-    PropensityParams, _row_pieces, jacobian_g, propensity, stack_g,
+    PropensityParams, _own_arm_k, _row_pieces, jacobian_g, propensity, stack_g,
 )
 from .solver import PELFit
+
+# A row with x' beta this close to +-logit(clip) sits on the clip kink, where
+# the balance Jacobian and the ATE gradient switch slope.
+_KINK_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -93,41 +102,10 @@ class ATEResult:
         }
 
 
-def _ipcw_weight_arrays(y, delta, d, pi, k1y, k0y):
-    w1 = d * delta / (pi * k1y)
-    w0 = (1.0 - d) * delta / ((1.0 - pi) * k0y)
-    return w1, w0
-
-
-def _hajek_means(y, w1, w0):
-    den1 = float(w1.sum())
-    den0 = float(w0.sum())
-    if den1 <= 0.0:
-        raise DegenerateArmError("treated arm has zero total weight")
-    if den0 <= 0.0:
-        raise DegenerateArmError("control arm has zero total weight")
-    return float((w1 * y).sum() / den1), float((w0 * y).sum() / den0)
-
-
 def _kish(w):
     tot = float(w.sum())
     ss = float((w * w).sum())
     return tot * tot / ss if ss > 0 else 0.0
-
-
-def ipcw_ipw_means(
-    data: Dataset,
-    params: PropensityParams,
-    k1: CensorSurvival,
-    k0: CensorSurvival,
-):
-    """Censoring-adjusted weighted outcome means (mu1, mu0)."""
-    pi = propensity(params, data.x)
-    w1, w0 = _ipcw_weight_arrays(
-        data.y, data.delta.astype(float), data.d.astype(float),
-        pi, k1.evaluate(data.y), k0.evaluate(data.y),
-    )
-    return _hajek_means(data.y, w1, w0)
 
 
 def normalized_weights(data: Dataset, params: PropensityParams):
@@ -245,17 +223,13 @@ def ate_with_ci(
     if not fit.converged:
         notes.append("propensity fit did not converge; inference is approximate")
     y = data.y
-    dvec = data.d.astype(float)
-    delta = data.delta.astype(float)
-    k1y = k1.evaluate(y)
-    k0y = k0.evaluate(y)
     n = data.n
-
-    pi, *_, dc1, dc0 = _row_pieces(
-        fit.params.beta, fit.params.clip, data.x, dvec, delta, k1y, k0y
+    _, _, w1, w0, _, dc1, dc0 = _row_pieces(
+        fit.params.beta, fit.params.clip, data.x, data.d.astype(float),
+        data.delta.astype(float), _own_arm_k(data, k1, k0),
     )
-    w1, w0 = _ipcw_weight_arrays(y, delta, dvec, pi, k1y, k0y)
-    mu1, mu0 = _hajek_means(y, w1, w0)
+    mu1 = float((w1 * y).sum() / w1.sum())
+    mu0 = float((w0 * y).sum() / w0.sum())
 
     # phi is the influence of the Hajek means at fixed pi; grad_h is the
     # derivative of the same sums, with the weight slopes in place of w
@@ -266,6 +240,15 @@ def ate_with_ci(
     grad_h = data.x[:, active].T @ (dc1 * r1 - dc0 * r0)
 
     if active.size:
+        bound = math.log((1.0 - fit.clip) / fit.clip)
+        kinked = np.count_nonzero(
+            np.abs(np.abs(data.x @ fit.beta_hat) - bound) <= _KINK_TOL
+        )
+        if kinked:
+            notes.append(
+                f"{kinked} rows lie on a clip bound; "
+                "se_propensity uses one side's slope"
+            )
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             sigma, vinv_g1, gmat, sw_notes = _sandwich_pieces(fit, data, k1, k0)

@@ -5,12 +5,15 @@ Delta, and propensity pi = expit(X' beta) clipped to [eps, 1 - eps], the
 stacked moment vector has p + 2 components:
 
     balance:      (D/pi - (1 - D)/(1 - pi)) * X                      (p rows)
-    calibration:  D * Delta / (pi * K1(Y)) - 1                       (1 row)
-                  (1 - D) * Delta / ((1 - pi) * K0(Y)) - 1           (1 row)
+    calibration:  w1 - 1,  w1 = D * Delta / (pi * K_D(Y))            (1 row)
+                  w0 - 1,  w0 = (1 - D) * Delta / ((1 - pi) * K_D(Y)) (1 row)
 
-where K1, K0 are the per-arm censoring survival curves. At the true
-coefficient vector all p + 2 components have expectation zero; the two
-calibration rows pin the total inverse-probability mass in each arm.
+where K_D(Y) is the censoring survival curve of the subject's own arm at
+its follow-up time (``_own_arm_k``): K1 only ever weights treated rows and
+K0 control rows. w1 and w0 are the IPCW weights, formed in one place
+(``_ipcw_weights``) for this estimator, its inference and the baselines. At
+the true coefficient vector all p + 2 components have expectation zero; the
+two calibration rows pin the total inverse-probability mass in each arm.
 
 No intercept column is added implicitly; callers who want one must include
 a constant covariate.
@@ -69,15 +72,27 @@ def propensity(params: PropensityParams, x):
     return out
 
 
-def _row_pieces(beta, clip, x, d, delta, k1y, k0y):
+def _own_arm_k(data: Dataset, k1: CensorSurvival, k0: CensorSurvival):
+    """K_D(Y): each row's own-arm censoring survival at its follow-up time."""
+    return np.where(data.d == 1, k1.evaluate(data.y), k0.evaluate(data.y))
+
+
+def _ipcw_weights(delta, d, pi, kdy):
+    """IPCW weights w1 = D Delta / (pi K), w0 = (1 - D) Delta / ((1 - pi) K)."""
+    return d * delta / (pi * kdy), (1.0 - d) * delta / ((1.0 - pi) * kdy)
+
+
+def _row_pieces(beta, clip, x, d, delta, kdy):
     """Per-row values and derivative scalars shared by g and its Jacobian.
 
-    Returns (pi, a, cal1, cal0, b, dc1, dc0) where
+    Returns (pi, a, w1, w0, b, dc1, dc0) where
 
         a    coefficient of X in the balance rows,
+        w1   IPCW weights, the treated calibration row plus 1,
+        w0   IPCW weights, the control calibration row plus 1,
         b    coefficient of X X' in d(balance)/d(beta),
-        dc1  coefficient of X in d(cal1)/d(beta),
-        dc0  coefficient of X in d(cal0)/d(beta).
+        dc1  coefficient of X in d(w1)/d(beta),
+        dc0  coefficient of X in d(w0)/d(beta).
 
     Rows whose raw propensity falls outside the clip interval contribute
     zero derivative (the clipped score is locally constant there).
@@ -87,26 +102,25 @@ def _row_pieces(beta, clip, x, d, delta, k1y, k0y):
     free = (raw > clip) & (raw < 1.0 - clip)
     om = 1.0 - pi
     a = d / pi - (1.0 - d) / om
-    cal1 = d * delta / (pi * k1y) - 1.0
-    cal0 = (1.0 - d) * delta / (om * k0y) - 1.0
+    w1, w0 = _ipcw_weights(delta, d, pi, kdy)
     b = np.where(free, -(d * om / pi + (1.0 - d) * pi / om), 0.0)
-    dc1 = np.where(free, -d * delta * om / (pi * k1y), 0.0)
-    dc0 = np.where(free, (1.0 - d) * delta * pi / (om * k0y), 0.0)
-    return pi, a, cal1, cal0, b, dc1, dc0
+    dc1 = np.where(free, -d * delta * om / (pi * kdy), 0.0)
+    dc0 = np.where(free, (1.0 - d) * delta * pi / (om * kdy), 0.0)
+    return pi, a, w1, w0, b, dc1, dc0
 
 
-def _gmat_and_slopes(beta, clip, x, d, delta, k1y, k0y):
+def _gmat_and_slopes(beta, clip, x, d, delta, kdy):
     """The n x (p + 2) stacked moment matrix and the slopes (b, dc1, dc0).
 
     One pass over the rows serves the matrix, the mean Jacobian and the
     profile gradient at the same beta.
     """
-    _, a, cal1, cal0, b, dc1, dc0 = _row_pieces(beta, clip, x, d, delta, k1y, k0y)
+    _, a, w1, w0, b, dc1, dc0 = _row_pieces(beta, clip, x, d, delta, kdy)
     n, p = x.shape
     gmat = np.empty((n, p + 2))
     np.multiply(a[:, None], x, out=gmat[:, :p])
-    gmat[:, p] = cal1
-    gmat[:, p + 1] = cal0
+    gmat[:, p] = w1 - 1.0
+    gmat[:, p + 1] = w0 - 1.0
     return gmat, (b, dc1, dc0)
 
 
@@ -229,10 +243,6 @@ def _profile_grad(x, slopes, lam, row_scale):
     return x.T @ (row_scale * coeff)
 
 
-def _k_vectors(data: Dataset, k1: CensorSurvival, k0: CensorSurvival):
-    return k1.evaluate(data.y), k0.evaluate(data.y)
-
-
 def stack_g(
     params: PropensityParams,
     data: Dataset,
@@ -242,10 +252,9 @@ def stack_g(
     """All n stacked moment rows as an n x (p + 2) matrix."""
     if params.beta.shape[0] != data.p:
         raise InputError("beta length must equal the number of covariates")
-    k1y, k0y = _k_vectors(data, k1, k0)
     return _gmat_and_slopes(
         params.beta, params.clip, data.x, data.d.astype(float),
-        data.delta.astype(float), k1y, k0y,
+        data.delta.astype(float), _own_arm_k(data, k1, k0),
     )[0]
 
 
@@ -258,9 +267,8 @@ def jacobian_g(
     """Derivative of the stacked moment column means w.r.t. beta."""
     if params.beta.shape[0] != data.p:
         raise InputError("beta length must equal the number of covariates")
-    k1y, k0y = _k_vectors(data, k1, k0)
     slopes = _row_pieces(
         params.beta, params.clip, data.x, data.d.astype(float),
-        data.delta.astype(float), k1y, k0y,
+        data.delta.astype(float), _own_arm_k(data, k1, k0),
     )[4:]
     return _mean_jacobian(data.x, slopes)

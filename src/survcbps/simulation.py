@@ -463,7 +463,7 @@ def _coerce_config_value(key, val, where):
 
 
 def load_config(path, overrides: dict | None = None) -> SimConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read(), overrides)
 
 

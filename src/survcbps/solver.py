@@ -97,6 +97,7 @@ from .moments import (
     _gmat_and_slopes,
     _logistic_mle,
     _mean_jacobian,
+    _own_arm_k,
     _profile_grad,
     _weighted_gram,
 )
@@ -316,8 +317,7 @@ class _Path:
         self.p = data.p
         self.dvec = data.d.astype(float)
         self.delta = data.delta.astype(float)
-        self.k1y = k1.evaluate(data.y)
-        self.k0y = k0.evaluate(data.y)
+        self.kdy = _own_arm_k(data, k1, k0)
         self.clip = clip
         sd = data.x.std(axis=0)
         self.scales = np.where(sd > 0, sd, 1.0)
@@ -336,7 +336,7 @@ class _Path:
         when the inner solve fails, so that comparisons reject the point.
         """
         gm, slopes = _gmat_and_slopes(
-            beta, self.clip, self.x, self.dvec, self.delta, self.k1y, self.k0y
+            beta, self.clip, self.x, self.dvec, self.delta, self.kdy
         )
         state = solve_inner_dual(gm, lam_init, factor=self.factor)
         if not state.converged:

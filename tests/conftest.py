@@ -32,6 +32,18 @@ def small_dataset(seed=0, n=60, p=3, censor=True):
     return sc.Dataset(y=y, delta=delta, d=d, x=x)
 
 
+def ipcw_hajek_means(y, delta, d, pi, kdy):
+    """Plain-numpy IPCW Hajek means (mu1, mu0); kdy is each row's own-arm K(Y).
+
+    Raises DegenerateArmError when an arm has zero total weight.
+    """
+    w1 = d * delta / (pi * kdy)
+    w0 = (1.0 - d) * delta / ((1.0 - pi) * kdy)
+    if not (w1.sum() > 0.0 and w0.sum() > 0.0):
+        raise sc.DegenerateArmError("an arm has zero total weight")
+    return float((w1 * y).sum() / w1.sum()), float((w0 * y).sum() / w0.sum())
+
+
 # out-of-range clip bounds and confidence levels; every entry point rejects them
 BAD_CLIPS = [0.0, -0.1, 0.5, 0.7, float("nan")]
 BAD_LEVELS = [0.0, 1.0, 1.5, -0.1, float("nan")]

@@ -6,6 +6,7 @@ section at the end of the pytest run. The heavy Monte Carlo fixtures are
 module-scoped so the suite stays inside its runtime budgets on one core.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -216,11 +217,12 @@ def test_criterion_04_uncensored_reduction(check):
     k1, k0 = _km_fits(data)
     rng = np.random.default_rng(17)
     worst = 0.0
+    base = sc.fit_pel(data, k1, k0, scad=None)
     for _ in range(5):
         beta = rng.uniform(-0.5, 0.5, data.p)
-        params = sc.PropensityParams(beta=beta)
-        mu1, mu0 = sc.ipcw_ipw_means(data, params, k1, k0)
-        pi = sc.propensity(params, data.x)
+        res = sc.ate_with_ci(data, dataclasses.replace(base, beta_hat=beta), k1, k0)
+        mu1, mu0 = res.mu1, res.mu0
+        pi = sc.propensity(sc.PropensityParams(beta=beta), data.x)
         w1 = data.d / pi
         w0 = (1 - data.d) / (1 - pi)
         ref1 = float(w1 @ data.y / w1.sum())

@@ -229,6 +229,57 @@ def test_report_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+# one input file per subcommand, each with a 0xff byte, and its error category
+NON_UTF8 = {
+    "fit": ("--data", b"y,delta,d,x1\n1.0,1,1,0.\xff2\n2.0,1,0,0.4\n", "schema"),
+    "report": ("--in", b'{"schema_version": "\xff"}\n', "dump"),
+    "simulate": ("--config", b"n = 1\xff0\n", "config"),
+}
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the study ran")
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "non_utf8"])
+@pytest.mark.parametrize("command", sorted(NON_UTF8))
+def test_unreadable_input_is_a_typed_failure(
+    command, unreadable, tmp_path, capsys, monkeypatch
+):
+    flag, content, category = NON_UTF8[command]
+    path = tmp_path / "input"
+    if unreadable == "directory":
+        path.mkdir()
+        category = "file"
+    else:
+        path.write_bytes(content)
+    monkeypatch.setattr(cli, "run_study", _never)
+    assert main([command, flag, str(path)]) == 2
+    err_doc = json.loads(capsys.readouterr().out)
+    assert err_doc["error"]["category"] == category
+
+
+def test_unwritable_output_is_a_typed_failure(
+    data_csv, tmp_path, capsys, monkeypatch
+):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(cli, "run_study", _never)
+    argv = ["--n", "60", "--p", "5", "--replications", "3", "--out-dir", str(taken)]
+    assert main(["simulate", *argv]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["category"] == "file"
+    assert main(["fit", "--data", data_csv, "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["category"] == "file"
+
+
+def test_unwritable_study_output_is_a_typed_failure(tmp_path, capsys):
+    (tmp_path / "report.csv").mkdir()
+    argv = ["--n", "60", "--p", "5", "--replications", "2",
+            "--estimators", "proposed", "--out-dir", str(tmp_path)]
+    assert main(["simulate", *argv]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["category"] == "file"
+
+
 def test_version_flag(capsys):
     code = main(["--version"])
     out = capsys.readouterr().out

@@ -152,6 +152,13 @@ def test_parse_csv_empty_and_tiny_files(tmp_path):
                 sc.parse_csv(path)
 
 
+def test_parse_csv_non_utf8_is_a_schema_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,delta,d,x1\n1.0,1,1,0.\xff5\n2.0,1,0,0.3\n")
+    with pytest.raises(sc.SchemaError, match="UTF-8"):
+        sc.parse_csv(path)
+
+
 def reference_parse_error(path):
     """(row, column, message) of the first bad cell, found one cell at a
     time in row-major order; None when every cell passes. The files here

@@ -5,13 +5,12 @@ import survcbps as sc
 from survcbps.inference import (
     _sandwich_pieces,
     ate_with_ci,
-    ipcw_ipw_means,
     normalized_weights,
     weighted_median,
 )
 from survcbps.moments import PropensityParams
 from survcbps.solver import fit_pel
-from tests.conftest import small_dataset
+from tests.conftest import ipcw_hajek_means, small_dataset
 
 
 def test_weighted_median_frozen_cases():
@@ -31,24 +30,6 @@ def test_weighted_median_validation():
         weighted_median([1.0, 2.0], [-0.1, 1.1])
     with pytest.raises(sc.InputError):
         weighted_median([1.0, 2.0], [0.5])
-
-
-def test_uncensored_reduction_to_plain_hajek(toy_uncensored):
-    """With delta = 1 everywhere the IPCW means equal plain Hajek IPW."""
-    data = toy_uncensored
-    k1 = sc.fit_censoring_km(data, 1)
-    k0 = sc.fit_censoring_km(data, 0)
-    params = PropensityParams(beta=np.array([0.4, -0.2, 0.1]))
-    mu1, mu0 = ipcw_ipw_means(data, params, k1, k0)
-
-    pi = sc.propensity(params, data.x)
-    d = data.d.astype(float)
-    w1 = d / pi
-    w0 = (1.0 - d) / (1.0 - pi)
-    ref1 = float((w1 * data.y).sum() / w1.sum())
-    ref0 = float((w0 * data.y).sum() / w0.sum())
-    assert abs(mu1 - ref1) <= 1e-12
-    assert abs(mu0 - ref0) <= 1e-12
 
 
 def test_normalized_weights_sum_to_one(toy_data):
@@ -133,9 +114,9 @@ def sim300():
 def test_closed_form_ate_gradient_matches_central_differences(sim300, clip):
     """se_propensity equals sqrt(g' Sigma g / n) with g by central differences.
 
-    g is the central difference of the public Hajek means at beta +- h e_j,
-    h = 1e-5 (1 + |beta_j|). From clip 0.2 on, 99 to 247 of the 300 rows are
-    clipped and contribute zero slope.
+    g is the central difference of plain-numpy IPCW Hajek means at
+    beta +- h e_j, h = 1e-5 (1 + |beta_j|). From clip 0.2 on, 99 to 247 of
+    the 300 rows are clipped and contribute zero slope.
     """
     data, k1, k0 = sim300
     fit = fit_pel(data, k1, k0, sc.ScadParams(lam=0.05), clip=clip)
@@ -151,15 +132,16 @@ def test_closed_form_ate_gradient_matches_central_differences(sim300, clip):
     clipped = np.count_nonzero(np.abs(data.x @ beta) >= bounds[1])
     assert (clipped > 90) == (clip >= 0.2)
 
+    y, delta, d = data.y, data.delta.astype(float), data.d.astype(float)
+    kdy = np.where(d == 1, k1.evaluate(y), k0.evaluate(y))
     grad = np.empty(active.size)
     for pos, (j, h) in enumerate(zip(active, steps)):
         means = []
         for sign in (1.0, -1.0):
             shifted = beta.copy()
             shifted[j] += sign * h
-            mu1, mu0 = ipcw_ipw_means(
-                data, PropensityParams(shifted, clip=clip), k1, k0
-            )
+            pi = sc.propensity(PropensityParams(shifted, clip=clip), data.x)
+            mu1, mu0 = ipcw_hajek_means(y, delta, d, pi, kdy)
             means.append(mu1 - mu0)
         grad[pos] = (means[0] - means[1]) / (2.0 * h)
     sigma = _sandwich_pieces(fit, data, k1, k0)[0]
@@ -224,6 +206,20 @@ def test_unconverged_fit_flagged(toy_data):
     )
     res = ate_with_ci(toy_data, shaky, k1, k0)
     assert any("did not converge" in w for w in res.warnings)
+
+
+@pytest.mark.parametrize("clip, notes", [
+    # one row's x' beta lies 2.5e-7 from logit(0.8)
+    (0.2, ("1 rows lie on a clip bound; se_propensity uses one side's slope",)),
+    # the nearest row is 3.2 from the bound
+    (0.01, ()),
+])
+def test_a_fit_on_the_clip_kink_is_flagged(clip, notes):
+    data = small_dataset(seed=7, n=300, p=3)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    fit = fit_pel(data, k1, k0, sc.ScadParams(lam=0.05), clip=clip)
+    assert ate_with_ci(data, fit, k1, k0).warnings == notes
 
 
 @pytest.mark.slow

@@ -160,12 +160,12 @@ def test_symmetric_products_match_general_products(toy_data):
     k1 = sc.fit_censoring_km(toy_data, 1)
     k0 = sc.fit_censoring_km(toy_data, 0)
     x, n, p = toy_data.x, toy_data.n, toy_data.p
-    k1y, k0y = k1.evaluate(toy_data.y), k0.evaluate(toy_data.y)
+    kdy = np.where(toy_data.d == 1, k1.evaluate(toy_data.y), k0.evaluate(toy_data.y))
     for beta in (np.zeros(p), rng.uniform(-0.5, 0.5, p), np.full(p, 2.0)):
         params = PropensityParams(beta=beta)
         b = _row_pieces(
             beta, params.clip, x, toy_data.d.astype(float),
-            toy_data.delta.astype(float), k1y, k0y,
+            toy_data.delta.astype(float), kdy,
         )[4]
         close(jacobian_g(params, toy_data, k1, k0)[:p], (x * b[:, None]).T @ x / n)
 

@@ -149,7 +149,7 @@ def _toy_path(data):
 
 def _toy_moments(path, beta):
     return _gmat_and_slopes(
-        beta, path.clip, path.x, path.dvec, path.delta, path.k1y, path.k0y
+        beta, path.clip, path.x, path.dvec, path.delta, path.kdy
     )[0]
 
 
