@@ -39,6 +39,7 @@ from .simulation import (
     SimReport,
     generate_dataset,
     load_config,
+    load_dump,
     run_study,
     true_ate,
     write_outputs,
@@ -85,6 +86,7 @@ __all__ = [
     "generate_dataset",
     "jacobian_g",
     "load_config",
+    "load_dump",
     "lqa_weight",
     "normalized_weights",
     "parse_csv",

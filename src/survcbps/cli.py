@@ -8,11 +8,12 @@ Three subcommands:
 ``report``    re-render the summary table from a stored dump.json without
               recomputing anything
 
-Exit codes: 0 success, 2 file/schema/configuration problems (among them a
-file or directory that cannot be read or written, and input that is not
-UTF-8), 3 convergence failures (for simulate: more than 5% of replications
-failed; outputs are still written), 4 degenerate data (an arm empty or
-without uncensored records). Errors are reported as a JSON object on stdout.
+The commands only raise. ``main`` maps each failure to a JSON error object on
+stdout and an exit code through one table, ``_FAILURES``: 2 for file, schema,
+dump and config problems (a path that cannot be read or written, input that
+is not UTF-8, a repeated CSV column, a malformed dump.json), 3 for convergence
+failures, 4 for degenerate data (an arm empty or without uncensored records).
+A non-converged fit or more than 5% failed replications also exits 3.
 
 ``fit`` makes one ``select_tau`` call: ``--tau X`` is the one-value grid
 [X], so it writes the same JSON as ``--tau-grid X``. The clip bound, the
@@ -40,15 +41,17 @@ from .errors import (
     RowParseError,
     SchemaError,
     SingularMatrixError,
+    SurvCbpsError,
 )
 from .inference import _z_value, ate_with_ci
 from .moments import _check_clip
 from .simulation import (
     SCHEMA_VERSION,
     SimConfig,
-    SimReport,
+    _check_workers,
     _coerce_config_value,
     load_config,
+    load_dump,
     run_study,
     write_outputs,
 )
@@ -59,23 +62,23 @@ _EXIT_INPUT = 2
 _EXIT_CONVERGENCE = 3
 _EXIT_DEGENERATE = 4
 
+# (exception types, error category, exit code) of every failure main reports
+_FAILURES = (
+    (OSError, "file", _EXIT_INPUT),
+    ((SchemaError, RowParseError), "schema", _EXIT_INPUT),
+    (DumpFormatError, "dump", _EXIT_INPUT),
+    ((ConfigError, InputError), "config", _EXIT_INPUT),
+    (DegenerateArmError, "degenerate", _EXIT_DEGENERATE),
+    ((FitError, SingularMatrixError), "convergence", _EXIT_CONVERGENCE),
+)
 
-def _fail(category: str, message: str, code: int) -> int:
+
+def _fail(category: str, exc: Exception, code: int) -> int:
+    message = str(exc)
+    if isinstance(exc, OSError) and exc.filename is not None:
+        message = f"{exc.filename}: {exc.strerror or exc}"
     print(json.dumps({"error": {"category": category, "message": message}}))
     return code
-
-
-def _fail_file(path, exc: OSError) -> int:
-    return _fail("file", f"{path}: {exc.strerror or exc}", _EXIT_INPUT)
-
-
-def _parse_seed(text: str) -> int:
-    if text == "random":
-        return int(np.random.SeedSequence().generate_state(1)[0])
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"--seed must be an integer or 'random', got {text!r}")
 
 
 def _flag(key: str) -> str:
@@ -149,44 +152,29 @@ def _emit(doc: dict, out_path) -> None:
             fh.write(text)
 
 
-def cmd_fit(args) -> int:
+def _tau_grid(args):
+    """The select_tau grid of --tau / --tau-grid; None for 'auto'."""
+    if args.tau is not None:
+        return [args.tau]
+    if args.tau_grid == "auto":
+        return None
     try:
-        _check_clip(args.clip)
-        _check_floor(args.km_floor)
-        _z_value(args.level)
-        if args.tau is not None:
-            grid = [args.tau]
-        elif args.tau_grid == "auto":
-            grid = None
-        else:
-            grid = [float(s) for s in args.tau_grid.split(",") if s.strip()]
-    except InputError as exc:
-        return _fail("config", str(exc), _EXIT_INPUT)
+        return [float(s) for s in args.tau_grid.split(",") if s.strip()]
     except ValueError:
-        return _fail("config", f"bad --tau-grid: {args.tau_grid!r}", _EXIT_INPUT)
-    try:
-        data = parse_csv(args.data)
-    except OSError as exc:
-        return _fail_file(args.data, exc)
-    except (SchemaError, RowParseError, InputError) as exc:
-        return _fail("schema", str(exc), _EXIT_INPUT)
-    except DegenerateArmError as exc:
-        return _fail("degenerate", str(exc), _EXIT_DEGENERATE)
-    try:
-        k1 = fit_censoring_km(data, 1, floor=args.km_floor)
-        k0 = fit_censoring_km(data, 0, floor=args.km_floor)
-        tau, fit = select_tau(data, k1, k0, grid=grid, clip=args.clip)
-        result = ate_with_ci(data, fit, k1, k0, level=args.level)
-    except DegenerateArmError as exc:
-        return _fail("degenerate", str(exc), _EXIT_DEGENERATE)
-    except (FitError, SingularMatrixError) as exc:
-        return _fail("convergence", str(exc), _EXIT_CONVERGENCE)
-    except InputError as exc:
-        return _fail("config", str(exc), _EXIT_INPUT)
-    try:
-        _emit(_fit_doc(data, tau, fit, result), args.out)
-    except OSError as exc:
-        return _fail_file(args.out, exc)
+        raise ConfigError(f"bad --tau-grid: {args.tau_grid!r}") from None
+
+
+def cmd_fit(args) -> int:
+    _check_clip(args.clip)
+    _check_floor(args.km_floor)
+    _z_value(args.level)
+    grid = _tau_grid(args)
+    data = parse_csv(args.data)
+    k1 = fit_censoring_km(data, 1, floor=args.km_floor)
+    k0 = fit_censoring_km(data, 0, floor=args.km_floor)
+    tau, fit = select_tau(data, k1, k0, grid=grid, clip=args.clip)
+    result = ate_with_ci(data, fit, k1, k0, level=args.level)
+    _emit(_fit_doc(data, tau, fit, result), args.out)
     if not fit.converged:
         print("warning: propensity fit did not converge", file=sys.stderr)
         return _EXIT_CONVERGENCE
@@ -200,8 +188,8 @@ def _simulate_config(args) -> SimConfig:
         val = getattr(args, key)
         if val is None:
             continue
-        if key == "seed":
-            overrides[key] = _parse_seed(val)
+        if key == "seed" and val == "random":
+            overrides[key] = int(np.random.SeedSequence().generate_state(1)[0])
         else:
             overrides[key] = _coerce_config_value(key, val, _flag(key))
     if args.config is not None:
@@ -210,23 +198,11 @@ def _simulate_config(args) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = _simulate_config(args)
-    except OSError as exc:
-        return _fail_file(args.config, exc)
-    except (ConfigError, UnicodeDecodeError) as exc:
-        return _fail("config", str(exc), _EXIT_INPUT)
-    if args.workers < 1:
-        return _fail("config", "--workers must be >= 1", _EXIT_INPUT)
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:
-        return _fail_file(args.out_dir, exc)
+    config = _simulate_config(args)
+    _check_workers(args.workers)
+    os.makedirs(args.out_dir, exist_ok=True)
     report = run_study(config, workers=args.workers)
-    try:
-        paths = write_outputs(report, args.out_dir)
-    except OSError as exc:
-        return _fail_file(args.out_dir, exc)
+    paths = write_outputs(report, args.out_dir)
     print(report.render_table())
     print(
         f"wrote {paths['report']}, {paths['timings']}, {paths['dump']}",
@@ -239,18 +215,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.infile, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        return _fail_file(args.infile, exc)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return _fail("dump", f"not valid JSON: {exc}", _EXIT_INPUT)
-    try:
-        report = SimReport.from_dump(doc)
-    except DumpFormatError as exc:
-        return _fail("dump", str(exc), _EXIT_INPUT)
-    print(report.render_table())
+    print(load_dump(args.infile).render_table())
     return _EXIT_OK
 
 
@@ -260,11 +225,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "fit":
-        return cmd_fit(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    return cmd_report(args)
+    command = {"fit": cmd_fit, "simulate": cmd_simulate, "report": cmd_report}
+    try:
+        return command[args.command](args)
+    except (OSError, SurvCbpsError) as exc:
+        for types, category, code in _FAILURES:
+            if isinstance(exc, types):
+                return _fail(category, exc, code)
+        raise
 
 
 def entry() -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,9 @@ def _cell_value(token: str, row: int, k: int, name: str) -> float:
 
 def _column_names(header) -> tuple:
     """The header's names in y, delta, d, x1..xp order (covariates by index)."""
+    for name, count in Counter(header).items():
+        if count > 1:
+            raise SchemaError(f"duplicate column {name!r}")
     xcols = [name for name in header if name not in _CORE]
     for name in xcols:
         if not (name.startswith("x") and name[1:].isdecimal()):
@@ -199,9 +203,9 @@ def _scan(path, width, cols, names) -> np.ndarray:
 def parse_csv(path) -> Dataset:
     """Read a dataset from a CSV file with a header row.
 
-    Raises SchemaError for a file that is not UTF-8 text, missing or unknown
-    columns or fewer than two data rows, RowParseError (naming the 1-based
-    data row and the column) for a bad cell or a ragged row, and
+    Raises SchemaError for a file that is not UTF-8 text, missing, unknown or
+    repeated columns or fewer than two data rows, RowParseError (naming the
+    1-based data row and the column) for a bad cell or a ragged row, and
     DegenerateArmError for inputs on which the estimator is undefined. When
     ``_load`` cannot vouch for the values, ``_scan`` raises the first bad
     cell's error, or returns the values if no cell is bad.

@@ -224,7 +224,7 @@ def ate_with_ci(
         notes.append("propensity fit did not converge; inference is approximate")
     y = data.y
     n = data.n
-    _, _, w1, w0, _, dc1, dc0 = _row_pieces(
+    _, _, w1, w0, b, dc1, dc0 = _row_pieces(
         fit.params.beta, fit.params.clip, data.x, data.d.astype(float),
         data.delta.astype(float), _own_arm_k(data, k1, k0),
     )
@@ -240,6 +240,13 @@ def ate_with_ci(
     grad_h = data.x[:, active].T @ (dc1 * r1 - dc0 * r0)
 
     if active.size:
+        # G1 is a sum over the unclipped rows (b != 0): rank <= their count
+        free = np.count_nonzero(b)
+        if free < active.size:
+            raise SingularMatrixError(
+                f"{free} rows with an unclipped propensity (clip {fit.clip}) "
+                f"cannot identify {active.size} active coefficients"
+            )
         bound = math.log((1.0 - fit.clip) / fit.clip)
         kinked = np.count_nonzero(
             np.abs(np.abs(data.x @ fit.beta_hat) - bound) <= _KINK_TOL

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -35,7 +36,7 @@ from scipy.special import expit
 from .baselines import _check_n_boot, fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
 from .censoring import _check_floor, fit_censoring_km
 from .data import Dataset
-from .errors import ConfigError, DumpFormatError, SurvCbpsError
+from .errors import ConfigError, DumpFormatError, InputError, SurvCbpsError
 from .inference import _z_value, ate_with_ci
 from .moments import _check_clip
 from .solver import select_tau
@@ -204,21 +205,18 @@ class SimReport:
         if not reps:
             raise DumpFormatError("dump has an empty replication list")
         try:
-            config = SimConfig(**{
-                **doc["config"],
-                "estimators": tuple(doc["config"]["estimators"]),
-            })
-            rows = tuple(EstimatorRow(**r) for r in doc["rows"])
-            replications = tuple(RepRecord(**r) for r in reps)
-        except (KeyError, TypeError) as exc:
+            return cls(
+                config=SimConfig(**{
+                    **doc["config"],
+                    "estimators": tuple(doc["config"]["estimators"]),
+                }),
+                true_ate=float(doc["true_ate"]),
+                true_ate_mc_se=float(doc["true_ate_mc_se"]),
+                rows=tuple(EstimatorRow(**r) for r in doc["rows"]),
+                replications=tuple(RepRecord(**r) for r in reps),
+            )
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DumpFormatError(f"malformed dump: {exc}") from None
-        return cls(
-            config=config,
-            true_ate=float(doc["true_ate"]),
-            true_ate_mc_se=float(doc["true_ate_mc_se"]),
-            rows=rows,
-            replications=replications,
-        )
 
 
 def build_beta(config: SimConfig) -> np.ndarray:
@@ -381,11 +379,18 @@ def _run_rep(args) -> list:
     return out
 
 
+def _check_workers(workers):
+    """Raise InputError unless at least one worker process is asked for."""
+    if workers < 1:
+        raise InputError("workers must be >= 1")
+
+
 def run_study(config: SimConfig, workers: int = 1) -> SimReport:
     """Run all replications and aggregate; deterministic for any workers."""
+    _check_workers(workers)
     delta_true, mc_se = true_ate(config)
     tasks = [(config, rep) for rep in range(config.replications)]
-    if workers <= 1:
+    if workers == 1:
         per_rep = [_run_rep(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -463,14 +468,27 @@ def _coerce_config_value(key, val, where):
 
 
 def load_config(path, overrides: dict | None = None) -> SimConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), overrides)
+    """The SimConfig of a ``key = value`` file; ConfigError if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ConfigError("config file is not UTF-8 text") from None
+    return parse_config_text(text, overrides)
+
+
+def load_dump(path) -> SimReport:
+    """The SimReport stored in a dump.json; DumpFormatError if malformed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise DumpFormatError(f"not UTF-8 JSON text: {exc}") from None
+    return SimReport.from_dump(doc)
 
 
 def write_outputs(report: SimReport, out_dir) -> dict:
     """Write report.csv, timings.csv and dump.json; returns the paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "report": os.path.join(out_dir, "report.csv"),

@@ -50,6 +50,25 @@ BAD_LEVELS = [0.0, 1.0, 1.5, -0.1, float("nan")]
 # out-of-range censoring-curve floors and bootstrap sizes
 BAD_FLOORS = [0.0, 1.0, 1.5, -0.1, float("nan")]
 BAD_N_BOOTS = [0, -3]
+# worker counts that run_study and simulate --workers reject
+BAD_WORKERS = [0, -3]
+
+
+def small_dump() -> dict:
+    """The dump.json document of a hand-built one-replication report."""
+    config = sc.SimConfig(n=60, p=5, replications=1, estimators=("naive_ipw",))
+    row = sc.simulation.EstimatorRow("naive_ipw", 0.1, 0.2, 100.0, 0, 3.0)
+    rep = sc.simulation.RepRecord(0, "naive_ipw", 1.1, 0.6, 1.6, 0.25, 3.0)
+    return sc.SimReport(config, 1.0, 0.01, (row,), (rep,)).to_dump()
+
+
+# ways to spoil a dump document past its schema check, each in place
+SPOILED_DUMPS = {
+    "no_true_ate": lambda doc: doc.pop("true_ate"),
+    "true_ate_text": lambda doc: doc.update(true_ate="abc"),
+    "n_too_small": lambda doc: doc["config"].update(n=5),
+    "clip_too_large": lambda doc: doc["config"].update(clip=0.7),
+}
 
 
 class Untouched:

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +9,15 @@ import survcbps as sc
 from survcbps import cli
 from survcbps.cli import _build_parser, _simulate_config, main
 from survcbps.simulation import SimConfig, parse_config_text
-from tests.conftest import BAD_CLIPS, BAD_FLOORS, BAD_LEVELS, small_dataset
+from tests.conftest import (
+    BAD_CLIPS,
+    BAD_FLOORS,
+    BAD_LEVELS,
+    BAD_WORKERS,
+    SPOILED_DUMPS,
+    small_dataset,
+    small_dump,
+)
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +288,60 @@ def test_unwritable_study_output_is_a_typed_failure(tmp_path, capsys):
             "--estimators", "proposed", "--out-dir", str(tmp_path)]
     assert main(["simulate", *argv]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["category"] == "file"
+
+
+def test_report_on_a_malformed_dump_is_a_dump_error(tmp_path, capsys):
+    path = tmp_path / "dump.json"
+    for spoil in SPOILED_DUMPS.values():
+        doc = small_dump()
+        spoil(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--in", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["category"] == "dump"
+
+
+@pytest.mark.parametrize("workers", BAD_WORKERS)
+def test_simulate_bad_workers_fails_before_making_the_out_dir(
+    workers, tmp_path, capsys, monkeypatch
+):
+    out_dir = tmp_path / "sim_out"
+    monkeypatch.setattr(cli, "run_study", _never)
+    argv = ["simulate", "--workers", str(workers), "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["category"] == "config"
+    assert not out_dir.exists()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "exc_type", [OSError, *_subclasses(sc.SurvCbpsError)], ids=lambda t: t.__name__
+)
+def test_every_failure_type_has_one_row_in_the_table(exc_type, capsys, monkeypatch):
+    rows = [row for row in cli._FAILURES if issubclass(exc_type, row[0])]
+    assert len(rows) == 1
+    _, category, code = rows[0]
+    args = (3, "x1", "not a number") if exc_type is sc.RowParseError else ("boom",)
+    exc = exc_type(*args)
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_report", raise_it)
+    assert main(["report", "--in", "dump.json"]) == code
+    err_doc = json.loads(capsys.readouterr().out)
+    assert err_doc["error"] == {"category": category, "message": str(exc)}
+
+
+def test_file_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["report", "--in", str(path)]) == 2
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert message == f"{path}: {os.strerror(errno.ENOENT)}"
 
 
 def test_version_flag(capsys):

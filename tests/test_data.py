@@ -109,6 +109,16 @@ def test_parse_csv_unknown_column(tmp_path):
         sc.parse_csv(path)
 
 
+@pytest.mark.parametrize("header, repeated", [
+    ("y,delta,d,x1,x1", "x1"), ("y,delta,d,x1,y", "y"),
+])
+def test_parse_csv_repeated_column_is_a_schema_error(header, repeated, tmp_path):
+    path = tmp_path / "repeated.csv"
+    path.write_text(f"{header}\n1.0,1,1,0.2,5\n2.0,1,0,0.4,6\n")
+    with pytest.raises(sc.SchemaError, match=f"duplicate column '{repeated}'"):
+        sc.parse_csv(path)
+
+
 def test_parse_csv_bad_cell_names_row_and_column(tmp_path):
     path = tmp_path / "cell.csv"
     rows = ["y,delta,d,x1"]

@@ -222,6 +222,20 @@ def test_a_fit_on_the_clip_kink_is_flagged(clip, notes):
     assert ate_with_ci(data, fit, k1, k0).warnings == notes
 
 
+def test_an_unidentified_fit_names_its_unclipped_rows():
+    """At clip 0.3 this fit keeps 8 coefficients but 1 row inside the bounds."""
+    data, _ = sc.generate_dataset(sc.SimConfig(300, 20, seed=42), 0)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    fit = fit_pel(data, k1, k0, sc.ScadParams(lam=0.05), clip=0.3)
+    assert fit.converged and len(fit.active_set) == 8
+    with pytest.raises(
+        sc.SingularMatrixError,
+        match=r"^1 rows .* \(clip 0\.3\) cannot identify 8 active coefficients$",
+    ):
+        ate_with_ci(data, fit, k1, k0)
+
+
 @pytest.mark.slow
 def test_beta1_sandwich_calibration(p10_study):
     """SD of the fitted first coefficient vs its mean sandwich SE, 200 reps."""

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,15 @@ from survcbps.simulation import (
     true_ate,
     write_outputs,
 )
-from tests.conftest import BAD_CLIPS, BAD_FLOORS, BAD_LEVELS, BAD_N_BOOTS
+from tests.conftest import (
+    BAD_CLIPS,
+    BAD_FLOORS,
+    BAD_LEVELS,
+    BAD_N_BOOTS,
+    BAD_WORKERS,
+    SPOILED_DUMPS,
+    small_dump,
+)
 
 
 def test_config_defaults_and_validation():
@@ -161,6 +168,18 @@ def test_run_study_shape_and_order():
     assert flipped.report_csv_text() == report.report_csv_text()
 
 
+@pytest.mark.parametrize("workers", BAD_WORKERS)
+def test_run_study_rejects_bad_workers_before_any_work(workers, monkeypatch):
+    import survcbps.simulation as sim
+
+    def never(config):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(sim, "true_ate", never)
+    with pytest.raises(sc.InputError, match="workers must be >= 1"):
+        run_study(_tiny_config(), workers=workers)
+
+
 def test_run_study_deterministic_across_workers():
     cfg = _tiny_config()
     serial = run_study(cfg, workers=1)
@@ -188,9 +207,7 @@ def test_report_render_and_csv():
 def test_dump_round_trip(tmp_path):
     report = run_study(_tiny_config())
     paths = write_outputs(report, tmp_path / "out")
-    with open(paths["dump"]) as fh:
-        doc = json.load(fh)
-    back = SimReport.from_dump(doc)
+    back = sc.load_dump(paths["dump"])
     assert back.render_table() == report.render_table()
     assert back.report_csv_text() == report.report_csv_text()
     assert back.true_ate == report.true_ate
@@ -204,6 +221,27 @@ def test_dump_rejects_bad_documents():
         SimReport.from_dump([1, 2, 3])
     with pytest.raises(sc.DumpFormatError):
         SimReport.from_dump({"schema_version": 1, "replications": []})
+    assert SimReport.from_dump(small_dump()).true_ate == 1.0
+    for spoil in SPOILED_DUMPS.values():
+        doc = small_dump()
+        spoil(doc)
+        with pytest.raises(sc.DumpFormatError, match="malformed dump"):
+            SimReport.from_dump(doc)
+
+
+@pytest.mark.parametrize("content", [b'{"schema_version": "\xff"}\n', b"{not json"])
+def test_load_dump_of_bad_text_is_a_dump_error(content, tmp_path):
+    path = tmp_path / "dump.json"
+    path.write_bytes(content)
+    with pytest.raises(sc.DumpFormatError, match="not UTF-8 JSON text"):
+        sc.load_dump(path)
+
+
+def test_load_config_of_non_utf8_text_is_a_config_error(tmp_path):
+    path = tmp_path / "study.conf"
+    path.write_bytes(b"n = 1\xff0\n")
+    with pytest.raises(sc.ConfigError, match="not UTF-8"):
+        sc.load_config(path)
 
 
 def test_parse_config_text():
