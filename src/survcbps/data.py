@@ -141,13 +141,14 @@ def _cell_value(token: str, row: int, k: int, name: str) -> float:
 
 
 def _column_names(header) -> tuple:
-    """The header's names in y, delta, d, x1..xp order (covariates by index)."""
+    """The header's names in y, delta, d, x1..xp order; covariates exactly x1..xp."""
     for name, count in Counter(header).items():
         if count > 1:
             raise SchemaError(f"duplicate column {name!r}")
     xcols = [name for name in header if name not in _CORE]
+    covariates = tuple(f"x{j}" for j in range(1, len(xcols) + 1))
     for name in xcols:
-        if not (name.startswith("x") and name[1:].isdecimal()):
+        if name not in covariates:
             raise SchemaError(
                 f"unexpected column {name!r}; expected y, delta, d, x1..xp"
             )
@@ -156,7 +157,7 @@ def _column_names(header) -> tuple:
             raise SchemaError(f"required column {name!r} not found in header")
     if not xcols:
         raise SchemaError("no covariate columns found")
-    return (*_CORE, *sorted(xcols, key=lambda s: int(s[1:])))
+    return (*_CORE, *covariates)
 
 
 def _load(text, width, cols):

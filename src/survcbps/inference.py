@@ -7,7 +7,7 @@ probability weighted means,
 
 and the control analogue with w0_i = (1 - D_i) Delta_i / ((1 - pi_i) K_D(Y_i)),
 where K_D is the censoring curve of the subject's own arm. The weights come
-from the row pass that forms the moments (``moments._row_pieces``), which
+from the row pass that forms the moments (``moments._moment_rows``), which
 takes them from ``moments._ipcw_weights`` as the baselines do. Uncensored
 subjects are reweighted by the inverse of the arm-specific probability of
 remaining uncensored, which restores the mean of the latent event time under
@@ -21,10 +21,12 @@ Two standard errors are computed:
 
 ``se_propensity``
     the delta-method term through the fitted coefficients only,
-    sqrt(grad_h' Sigma grad_h / n), with Sigma the sandwich covariance of
-    the active coefficients and grad_h the closed-form gradient of the ATE
-    map. It takes the slopes dc1, dc0 of the IPCW weights in x' beta from
-    the same row pass (``moments._row_pieces``) that gives pi:
+    sqrt(grad_h' Sigma grad_h / n), with Sigma = (G1' V^{-1} G1)^{-1} the
+    sandwich covariance of the active coefficients (V^{-1} G1 as in the
+    solver's outer curvature, ``moments._vinv_jac``) and grad_h the
+    closed-form gradient of the ATE map. It takes the slopes dc1, dc0 of
+    the IPCW weights in x' beta from the same row pass
+    (``moments._moment_rows``) that gives the weights:
 
         grad_h = X_A' (dc1 (Y - mu1) / sum w1 - dc0 (Y - mu0) / sum w0),
 
@@ -57,8 +59,11 @@ from .censoring import CensorSurvival
 from .data import Dataset
 from .errors import DegenerateArmError, InputError, SingularMatrixError
 from .moments import (
-    PropensityParams, _own_arm_k, _row_pieces, jacobian_g, propensity, stack_g,
+    PropensityParams, _mean_jacobian, _moment_rows, _own_arm_k, _vinv_jac,
+    propensity,
 )
+# unused here; bench/run.py patches these names in this module to time them
+from .moments import jacobian_g, stack_g  # noqa: F401
 from .solver import PELFit
 
 # A row with x' beta this close to +-logit(clip) sits on the clip kink, where
@@ -140,25 +145,9 @@ def weighted_median(y, w) -> float:
     return float(y[order][idx])
 
 
-def _sandwich_pieces(fit: PELFit, data: Dataset, k1, k0):
-    """(Sigma, V^{-1} G1, gmat, warning messages) for the active coefficients."""
-    active = np.asarray(fit.active_set, dtype=int)
-    if active.size == 0:
-        raise InputError("sandwich covariance needs a nonempty active set")
-    params = fit.params
-    notes = []
-    jac = jacobian_g(params, data, k1, k0)
-    gmat = stack_g(params, data, k1, k0)
-    n = data.n
-    vhat = gmat.T @ gmat / n
-    g1 = jac[:, active]
-    try:
-        np.linalg.cholesky(vhat)
-    except np.linalg.LinAlgError:
-        ridge = 1e-8 * float(np.trace(vhat))
-        vhat = vhat + ridge * np.eye(vhat.shape[0])
-        notes.append("moment second-moment matrix was singular; ridge added")
-    vinv_g1 = np.linalg.solve(vhat, g1)
+def _sandwich(gmat, g1):
+    """(Sigma, V^{-1} G1) with Sigma = (G1' V^{-1} G1)^{-1}, G1 = J[:, active]."""
+    vinv_g1 = _vinv_jac(gmat, g1)
     bread = g1.T @ vinv_g1
     bread = 0.5 * (bread + bread.T)
     try:
@@ -167,11 +156,10 @@ def _sandwich_pieces(fit: PELFit, data: Dataset, k1, k0):
         raise SingularMatrixError(
             "G1' V^{-1} G1 is singular; coefficients are not identified"
         ) from None
-    eye = np.eye(bread.shape[0])
-    half = np.linalg.solve(chol, eye)
+    half = np.linalg.solve(chol, np.eye(bread.shape[0]))
     sigma = half.T @ half
     sigma = 0.5 * (sigma + sigma.T)
-    return sigma, vinv_g1, gmat, notes
+    return sigma, vinv_g1
 
 
 def _z_value(level, error=InputError):
@@ -224,10 +212,11 @@ def ate_with_ci(
         notes.append("propensity fit did not converge; inference is approximate")
     y = data.y
     n = data.n
-    _, _, w1, w0, b, dc1, dc0 = _row_pieces(
-        fit.params.beta, fit.params.clip, data.x, data.d.astype(float),
+    gmat, w1, w0, slopes = _moment_rows(
+        fit.beta_hat, fit.clip, data.x, data.d.astype(float),
         data.delta.astype(float), _own_arm_k(data, k1, k0),
     )
+    b, dc1, dc0 = slopes
     mu1 = float((w1 * y).sum() / w1.sum())
     mu0 = float((w0 * y).sum() / w0.sum())
 
@@ -256,10 +245,10 @@ def ate_with_ci(
                 f"{kinked} rows lie on a clip bound; "
                 "se_propensity uses one side's slope"
             )
+        g1 = _mean_jacobian(data.x, slopes)[:, active]
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            sigma, vinv_g1, gmat, sw_notes = _sandwich_pieces(fit, data, k1, k0)
-        notes.extend(sw_notes)
+            sigma, vinv_g1 = _sandwich(gmat, g1)
         notes.extend(str(w.message) for w in caught)
         se_prop = math.sqrt(max(float(grad_h @ sigma @ grad_h), 0.0) / n)
         # per-row coefficient influence, mapped through the ATE gradient

@@ -15,6 +15,10 @@ K0 control rows. w1 and w0 are the IPCW weights, formed in one place
 the true coefficient vector all p + 2 components have expectation zero; the
 two calibration rows pin the total inverse-probability mass in each arm.
 
+One row pass per beta, ``_moment_rows``, gives the moments, the IPCW weights
+and the slopes in x' beta to the solver, ``stack_g``, ``jacobian_g`` and
+``inference.ate_with_ci``. ``_vinv_jac`` solves with the one V = g'g / n.
+
 No intercept column is added implicitly; callers who want one must include
 a constant covariate.
 
@@ -82,17 +86,15 @@ def _ipcw_weights(delta, d, pi, kdy):
     return d * delta / (pi * kdy), (1.0 - d) * delta / ((1.0 - pi) * kdy)
 
 
-def _row_pieces(beta, clip, x, d, delta, kdy):
-    """Per-row values and derivative scalars shared by g and its Jacobian.
+def _moment_rows(beta, clip, x, d, delta, kdy):
+    """One pass over the rows at beta: (gmat, w1, w0, (b, dc1, dc0)).
 
-    Returns (pi, a, w1, w0, b, dc1, dc0) where
-
-        a    coefficient of X in the balance rows,
-        w1   IPCW weights, the treated calibration row plus 1,
-        w0   IPCW weights, the control calibration row plus 1,
-        b    coefficient of X X' in d(balance)/d(beta),
-        dc1  coefficient of X in d(w1)/d(beta),
-        dc0  coefficient of X in d(w0)/d(beta).
+        gmat  the n x (p + 2) stacked moment matrix,
+        w1    IPCW weights, the treated calibration column plus 1,
+        w0    IPCW weights, the control calibration column plus 1,
+        b     coefficient of X X' in d(balance)/d(beta),
+        dc1   coefficient of X in d(w1)/d(beta),
+        dc0   coefficient of X in d(w0)/d(beta).
 
     Rows whose raw propensity falls outside the clip interval contribute
     zero derivative (the clipped score is locally constant there).
@@ -101,27 +103,16 @@ def _row_pieces(beta, clip, x, d, delta, kdy):
     pi = np.clip(raw, clip, 1.0 - clip)
     free = (raw > clip) & (raw < 1.0 - clip)
     om = 1.0 - pi
-    a = d / pi - (1.0 - d) / om
     w1, w0 = _ipcw_weights(delta, d, pi, kdy)
+    n, p = x.shape
+    gmat = np.empty((n, p + 2))
+    np.multiply((d / pi - (1.0 - d) / om)[:, None], x, out=gmat[:, :p])
+    gmat[:, p] = w1 - 1.0
+    gmat[:, p + 1] = w0 - 1.0
     b = np.where(free, -(d * om / pi + (1.0 - d) * pi / om), 0.0)
     dc1 = np.where(free, -d * delta * om / (pi * kdy), 0.0)
     dc0 = np.where(free, (1.0 - d) * delta * pi / (om * kdy), 0.0)
-    return pi, a, w1, w0, b, dc1, dc0
-
-
-def _gmat_and_slopes(beta, clip, x, d, delta, kdy):
-    """The n x (p + 2) stacked moment matrix and the slopes (b, dc1, dc0).
-
-    One pass over the rows serves the matrix, the mean Jacobian and the
-    profile gradient at the same beta.
-    """
-    _, a, w1, w0, b, dc1, dc0 = _row_pieces(beta, clip, x, d, delta, kdy)
-    n, p = x.shape
-    gmat = np.empty((n, p + 2))
-    np.multiply(a[:, None], x, out=gmat[:, :p])
-    gmat[:, p] = w1 - 1.0
-    gmat[:, p + 1] = w0 - 1.0
-    return gmat, (b, dc1, dc0)
+    return gmat, w1, w0, (b, dc1, dc0)
 
 
 def _weighted_gram(x, w):
@@ -184,6 +175,14 @@ def _lstsq(a, b):
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
+def _solve_or_lstsq(a, b):
+    """a^{-1} b, or the least-squares solution when a is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return _lstsq(a, b)
+
+
 def _logistic_mle(design, d, counts, ridge=1e-6):
     """Logistic regression by Newton iteration from beta = 0, one fit per row of counts.
 
@@ -231,6 +230,16 @@ def _mean_jacobian(x, slopes):
     return jac
 
 
+def _vinv_jac(gmat, jac):
+    """V^{-1} J, V = g'g / n plus 1e-10 (1 + tr V) on the diagonal; lstsq if singular.
+
+    The outer curvature n J' V^{-1} J and the sandwich both solve with it.
+    """
+    vhat = gmat.T @ gmat / gmat.shape[0]
+    vhat[np.diag_indices_from(vhat)] += 1e-10 * (1.0 + np.trace(vhat))
+    return _solve_or_lstsq(vhat, jac)
+
+
 def _profile_grad(x, slopes, lam, row_scale):
     """sum_i row_scale_i * J_i' lam, the chain-rule gradient in beta.
 
@@ -243,6 +252,16 @@ def _profile_grad(x, slopes, lam, row_scale):
     return x.T @ (row_scale * coeff)
 
 
+def _rows_at(params: PropensityParams, data: Dataset, k1, k0):
+    """``_moment_rows`` at params over data, with each row's own-arm K(Y)."""
+    if params.beta.shape[0] != data.p:
+        raise InputError("beta length must equal the number of covariates")
+    return _moment_rows(
+        params.beta, params.clip, data.x, data.d.astype(float),
+        data.delta.astype(float), _own_arm_k(data, k1, k0),
+    )
+
+
 def stack_g(
     params: PropensityParams,
     data: Dataset,
@@ -250,12 +269,7 @@ def stack_g(
     k0: CensorSurvival,
 ) -> np.ndarray:
     """All n stacked moment rows as an n x (p + 2) matrix."""
-    if params.beta.shape[0] != data.p:
-        raise InputError("beta length must equal the number of covariates")
-    return _gmat_and_slopes(
-        params.beta, params.clip, data.x, data.d.astype(float),
-        data.delta.astype(float), _own_arm_k(data, k1, k0),
-    )[0]
+    return _rows_at(params, data, k1, k0)[0]
 
 
 def jacobian_g(
@@ -265,10 +279,4 @@ def jacobian_g(
     k0: CensorSurvival,
 ) -> np.ndarray:
     """Derivative of the stacked moment column means w.r.t. beta."""
-    if params.beta.shape[0] != data.p:
-        raise InputError("beta length must equal the number of covariates")
-    slopes = _row_pieces(
-        params.beta, params.clip, data.x, data.d.astype(float),
-        data.delta.astype(float), _own_arm_k(data, k1, k0),
-    )[4:]
-    return _mean_jacobian(data.x, slopes)
+    return _mean_jacobian(data.x, _rows_at(params, data, k1, k0)[3])

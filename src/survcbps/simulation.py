@@ -26,7 +26,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -204,19 +204,37 @@ class SimReport:
         reps = doc.get("replications")
         if not reps:
             raise DumpFormatError("dump has an empty replication list")
+        config = doc.get("config")
+        missing = [f.name for f in fields(SimConfig)
+                   if not isinstance(config, dict) or f.name not in config]
+        if missing:
+            raise DumpFormatError(f"malformed dump: config lacks {', '.join(missing)}")
         try:
             return cls(
-                config=SimConfig(**{
-                    **doc["config"],
-                    "estimators": tuple(doc["config"]["estimators"]),
-                }),
+                config=SimConfig(**config),
                 true_ate=float(doc["true_ate"]),
                 true_ate_mc_se=float(doc["true_ate_mc_se"]),
-                rows=tuple(EstimatorRow(**r) for r in doc["rows"]),
-                replications=tuple(RepRecord(**r) for r in reps),
+                rows=_records(EstimatorRow, doc["rows"], "rows"),
+                replications=_records(RepRecord, reps, "replications"),
             )
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise DumpFormatError(f"malformed dump: {exc}") from None
+
+
+# a dump record field's JSON types, by its annotation: a number is an int
+# or a float, never a bool
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "str | None": (str, type(None))}
+
+
+def _records(cls, items, where):
+    """The records cls(**item) of a dump list, each field of its JSON type."""
+    for k, item in enumerate(items):
+        for f in fields(cls):
+            if f.name in item and type(item[f.name]) not in _JSON_TYPES[f.type]:
+                raise DumpFormatError(
+                    f"malformed dump: {where}[{k}].{f.name} must be {f.type}")
+    return tuple(cls(**item) for item in items)
 
 
 def build_beta(config: SimConfig) -> np.ndarray:

@@ -40,9 +40,9 @@ halves the largest gradient entry. A chord step that fails either test,
 or whose model gain is below the resolution of the objective, hands over
 to fresh Newton steps for the rest of the solve. Only a fresh Newton
 direction can declare the iterate numerically optimal, so the stopping
-rules are those of plain Newton. One pass over the rows at each beta gives
-the moment matrix and the slopes from which the outer step's profile
-gradient and Jacobian follow.
+rules are those of plain Newton. One pass over the rows at each beta,
+moments._moment_rows, gives the moment matrix and the slopes from which
+the outer step's profile gradient and Jacobian follow.
 
 Covariates are rescaled internally to unit variance so the penalty acts on
 comparable coordinates; estimates are mapped back to the original scale.
@@ -94,11 +94,13 @@ from .moments import (
     PropensityParams,
     _check_clip,
     _Design,
-    _gmat_and_slopes,
     _logistic_mle,
     _mean_jacobian,
+    _moment_rows,
     _own_arm_k,
     _profile_grad,
+    _solve_or_lstsq,
+    _vinv_jac,
     _weighted_gram,
 )
 from .scad import ScadParams, lqa_weight, scad_value
@@ -247,10 +249,7 @@ def solve_inner_dual(
                 direction = cho_solve(slot.cf, grad, check_finite=False)
             except np.linalg.LinAlgError:
                 slot.cf = None
-                try:
-                    direction = np.linalg.solve(a_mat, grad)
-                except np.linalg.LinAlgError:
-                    direction = np.linalg.lstsq(a_mat, grad, rcond=None)[0]
+                direction = _solve_or_lstsq(a_mat, grad)
             slope = float(grad @ direction)
             if slope <= 0.0:
                 direction = grad
@@ -335,7 +334,7 @@ class _Path:
         Q is the profiled EL term plus n times the summed penalty, and +inf
         when the inner solve fails, so that comparisons reject the point.
         """
-        gm, slopes = _gmat_and_slopes(
+        gm, _, _, slopes = _moment_rows(
             beta, self.clip, self.x, self.dvec, self.delta, self.kdy
         )
         state = solve_inner_dual(gm, lam_init, factor=self.factor)
@@ -355,16 +354,9 @@ class _Path:
         )
 
     def form_curvature(self, beta, gm, slopes):
-        """Form and keep n * J' V^{-1} J at beta, with V = g'g / n."""
-        n = self.n
+        """Form and keep n * J' V^{-1} J at beta (V as in moments._vinv_jac)."""
         jac = _mean_jacobian(self.x, slopes)
-        vhat = gm.T @ gm / n
-        vhat[np.diag_indices_from(vhat)] += 1e-10 * (1.0 + np.trace(vhat))
-        try:
-            sol = np.linalg.solve(vhat, jac)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(vhat, jac, rcond=None)[0]
-        h_el = n * (jac.T @ sol)
+        h_el = self.n * (jac.T @ _vinv_jac(gm, jac))
         self.h_el = 0.5 * (h_el + h_el.T)
         self.h_support = beta != 0.0
         self.h_free = slopes[0] != 0.0
@@ -426,10 +418,7 @@ def fit_pel(
             h_el = path.h_el
             h_mat = h_el + np.diag(n * w_lqa)
             h_mat[np.diag_indices_from(h_mat)] += 1e-8 * (1.0 + np.trace(h_el) / p)
-            try:
-                direction = -np.linalg.solve(h_mat, grad_m)
-            except np.linalg.LinAlgError:
-                direction = -np.linalg.lstsq(h_mat, grad_m, rcond=None)[0]
+            direction = -_solve_or_lstsq(h_mat, grad_m)
 
             # Coordinates held at zero whose proposed move is below the
             # threshold are pinned there by the rezeroing rule; they cannot

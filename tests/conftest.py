@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import survcbps as sc
-from survcbps.inference import _sandwich_pieces
+from survcbps.inference import _sandwich
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -30,6 +30,14 @@ def small_dataset(seed=0, n=60, p=3, censor=True):
         y = t
         delta = np.ones(n, dtype=int)
     return sc.Dataset(y=y, delta=delta, d=d, x=x)
+
+
+def sandwich_sigma(fit, data, k1, k0):
+    """Sandwich covariance of fit's active coefficients, from the public
+    ``stack_g`` and ``jacobian_g``."""
+    params = fit.params
+    g1 = sc.jacobian_g(params, data, k1, k0)[:, fit.active_set]
+    return _sandwich(sc.stack_g(params, data, k1, k0), g1)[0]
 
 
 def ipcw_hajek_means(y, delta, d, pi, kdy):
@@ -68,6 +76,9 @@ SPOILED_DUMPS = {
     "true_ate_text": lambda doc: doc.update(true_ate="abc"),
     "n_too_small": lambda doc: doc["config"].update(n=5),
     "clip_too_large": lambda doc: doc["config"].update(clip=0.7),
+    "no_config_n": lambda doc: doc["config"].pop("n"),
+    "row_bias_text": lambda doc: doc["rows"][0].update(bias="abc"),
+    "rep_estimate_text": lambda doc: doc["replications"][0].update(estimate="abc"),
 }
 
 
@@ -125,7 +136,7 @@ def p10_study():
             b1.append(fit.beta_hat[0])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sigma = _sandwich_pieces(fit, data, k1, k0)[0]
+                sigma = sandwich_sigma(fit, data, k1, k0)
             pos = list(fit.active_set).index(0)
             b1_se.append(float(np.sqrt(sigma[pos, pos] / data.n)))
     return {

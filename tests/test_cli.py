@@ -59,6 +59,29 @@ def test_fit_repeated_runs_identical(data_csv, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_fit_evaluates_the_censoring_curves_once_per_stage(
+    data_csv, monkeypatch, capsys
+):
+    """One evaluation of each curve in select_tau and one in ate_with_ci."""
+    calls = []
+    real = sc.CensorSurvival.evaluate
+
+    def counted(self, u):
+        calls.append(self)
+        return real(self, u)
+
+    monkeypatch.setattr(sc.CensorSurvival, "evaluate", counted)
+    data = sc.parse_csv(data_csv)
+    k1, k0 = sc.fit_censoring_km(data, 1), sc.fit_censoring_km(data, 0)
+    _, fit = sc.select_tau(data, k1, k0)
+    calls.clear()
+    sc.ate_with_ci(data, fit, k1, k0)
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["fit", "--data", data_csv]) == 0
+    assert len(calls) == 4
+
+
 def test_fit_fixed_tau_and_grid(data_csv, tmp_path, capsys):
     code = main(["fit", "--data", data_csv, "--tau", "0.08"])
     doc = json.loads(capsys.readouterr().out)

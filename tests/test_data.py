@@ -119,6 +119,16 @@ def test_parse_csv_repeated_column_is_a_schema_error(header, repeated, tmp_path)
         sc.parse_csv(path)
 
 
+@pytest.mark.parametrize("header, stray", [
+    ("y,delta,d,x1,x01", "x01"), ("y,delta,d,x1,x3", "x3"),
+])
+def test_parse_csv_covariates_must_be_x1_to_xp(header, stray, tmp_path):
+    path = tmp_path / "covariates.csv"
+    path.write_text(f"{header}\n1.0,1,1,0.2,5\n2.0,1,0,0.4,6\n")
+    with pytest.raises(sc.SchemaError, match=f"unexpected column '{stray}'"):
+        sc.parse_csv(path)
+
+
 def test_parse_csv_bad_cell_names_row_and_column(tmp_path):
     path = tmp_path / "cell.csv"
     rows = ["y,delta,d,x1"]

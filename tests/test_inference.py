@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 import survcbps as sc
-from survcbps.inference import (
-    _sandwich_pieces,
-    ate_with_ci,
-    normalized_weights,
-    weighted_median,
-)
+from survcbps.inference import ate_with_ci, normalized_weights, weighted_median
 from survcbps.moments import PropensityParams
 from survcbps.solver import fit_pel
-from tests.conftest import ipcw_hajek_means, small_dataset
+from tests.conftest import ipcw_hajek_means, sandwich_sigma, small_dataset
 
 
 def test_weighted_median_frozen_cases():
@@ -144,7 +139,7 @@ def test_closed_form_ate_gradient_matches_central_differences(sim300, clip):
             mu1, mu0 = ipcw_hajek_means(y, delta, d, pi, kdy)
             means.append(mu1 - mu0)
         grad[pos] = (means[0] - means[1]) / (2.0 * h)
-    sigma = _sandwich_pieces(fit, data, k1, k0)[0]
+    sigma = sandwich_sigma(fit, data, k1, k0)
     oracle = np.sqrt(grad @ sigma @ grad / data.n)
     assert res.se_propensity == pytest.approx(oracle, rel=1e-6)
 
@@ -156,7 +151,7 @@ def test_sandwich_matches_direct_inverse():
     k0 = sc.fit_censoring_km(data, 0)
     fit = fit_pel(data, k1, k0, scad=None)
     assert fit.active_set.size == 2
-    sigma = _sandwich_pieces(fit, data, k1, k0)[0]
+    sigma = sandwich_sigma(fit, data, k1, k0)
     from survcbps.moments import jacobian_g, stack_g
 
     jac = jacobian_g(fit.params, data, k1, k0)[:, fit.active_set]

@@ -7,7 +7,7 @@ import survcbps as sc
 from survcbps.moments import (
     PropensityParams,
     _lstsq,
-    _row_pieces,
+    _moment_rows,
     _solve,
     _weighted_gram,
     jacobian_g,
@@ -163,10 +163,10 @@ def test_symmetric_products_match_general_products(toy_data):
     kdy = np.where(toy_data.d == 1, k1.evaluate(toy_data.y), k0.evaluate(toy_data.y))
     for beta in (np.zeros(p), rng.uniform(-0.5, 0.5, p), np.full(p, 2.0)):
         params = PropensityParams(beta=beta)
-        b = _row_pieces(
+        b = _moment_rows(
             beta, params.clip, x, toy_data.d.astype(float),
             toy_data.delta.astype(float), kdy,
-        )[4]
+        )[3][0]
         close(jacobian_g(params, toy_data, k1, k0)[:p], (x * b[:, None]).T @ x / n)
 
 

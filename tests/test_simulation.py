@@ -229,6 +229,33 @@ def test_dump_rejects_bad_documents():
             SimReport.from_dump(doc)
 
 
+@pytest.mark.parametrize("spoil, named", [
+    (lambda doc: [doc["config"].pop(k) for k in ("n", "seed")],
+     "config lacks n, seed"),
+    (lambda doc: doc["rows"][0].update(n_fail=1.0), "rows[0].n_fail must be int"),
+    (lambda doc: doc["rows"][0].update(bias=True), "rows[0].bias must be float"),
+    (lambda doc: doc["replications"][0].update(rep=False),
+     "replications[0].rep must be int"),
+    (lambda doc: doc["replications"][0].update(error=3),
+     "replications[0].error must be str | None"),
+])
+def test_dump_error_names_the_field(spoil, named):
+    doc = small_dump()
+    spoil(doc)
+    with pytest.raises(sc.DumpFormatError) as exc:
+        SimReport.from_dump(doc)
+    assert named in str(exc.value)
+
+
+def test_dump_fields_take_any_json_number_and_error_text():
+    doc = small_dump()
+    doc["rows"][0]["bias"] = 0
+    doc["replications"][0]["error"] = "FitError: no fit"
+    report = SimReport.from_dump(doc)
+    assert report.rows[0].bias == 0
+    assert report.replications[0].error == "FitError: no fit"
+
+
 @pytest.mark.parametrize("content", [b'{"schema_version": "\xff"}\n', b"{not json"])
 def test_load_dump_of_bad_text_is_a_dump_error(content, tmp_path):
     path = tmp_path / "dump.json"

@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 import survcbps as sc
 from survcbps.scad import ScadParams
-from survcbps.moments import _gmat_and_slopes, _profile_grad, _weighted_gram
+from survcbps.moments import _moment_rows, _profile_grad, _weighted_gram
 from survcbps.solver import (
     _FactorSlot,
     _logstar,
@@ -148,7 +148,7 @@ def _toy_path(data):
 
 
 def _toy_moments(path, beta):
-    return _gmat_and_slopes(
+    return _moment_rows(
         beta, path.clip, path.x, path.dvec, path.delta, path.kdy
     )[0]
 
