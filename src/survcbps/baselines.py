@@ -40,9 +40,11 @@ those fitted to resampled copies, and everything else agrees with refitting
 each copy up to the order of floating-point sums. A block holds
 ``max(1, 2**16 // max(n, q**2))`` resamples (q = p + 1), so each of its
 (block x n) arrays and its (block x q x q) Hessian stack holds about 2**16
-floats. The bootstrap's ``_Design`` forms its stack of row outer products
-at the first block of more than one resample (when n q <= 2**16); the
-full-sample design only ever sees one row and never forms it.
+floats. The bootstrap's ``_Design`` forms its n x q(q + 1)/2 stack of
+upper-triangle row products at the first block of more than one resample
+(when n q <= 2**16); the full-sample design only ever sees one row and
+never forms it. That stack serves the logistic Hessians and the AIPW
+outcome Grams alike.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from __future__ import annotations
 import warnings as _warnings
 
 import numpy as np
-from scipy.special import expit
 
 from .censoring import CensorSurvival, _product_limit
 from .data import Dataset
@@ -58,7 +59,7 @@ from .errors import DegenerateArmError, InputError
 from .inference import ATEResult, _ate_result, _z_value, ate_with_ci
 from .moments import (
     _BLOCK_FLOATS, _check_clip, _Design, _ipcw_weights, _logistic_mle,
-    _own_arm_k, _solve,
+    _own_arm_k, _solve, expit,
 )
 from .solver import fit_pel
 

@@ -236,11 +236,16 @@ def parse_csv(path) -> Dataset:
 def write_csv(data: Dataset, path) -> None:
     """Inverse of parse_csv; floats written with full round-trip precision.
 
-    csv writes a float as its repr, the shortest string that reads back to
-    the same bits.
+    The header is always ``y,delta,d,x1..xp``, the columns parse_csv
+    requires, whatever ``covariate_names`` the dataset carries. A float is
+    written as its repr, the shortest string that reads back to the same
+    bits. Every line ends in CRLF, as ``csv.writer`` ends it.
     """
+    header = ["y", "delta", "d", *(f"x{j}" for j in range(1, data.p + 1))]
+    # x is converted and written a row at a time: data.x.tolist() or one
+    # string of the whole file would raise the process's peak memory
     rows = zip(data.y.tolist(), data.delta.tolist(), data.d.tolist(), data.x)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "delta", "d", *data.covariate_names])
-        writer.writerows([y, dl, d, *x.tolist()] for y, dl, d, x in rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, (y, dl, d, *x.tolist()))) + "\r\n"
+                      for y, dl, d, x in rows)

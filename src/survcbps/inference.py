@@ -51,9 +51,9 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .censoring import CensorSurvival
 from .data import Dataset
@@ -166,7 +166,9 @@ def _z_value(level, error=InputError):
     """The two-sided normal quantile of ``level``; ``error`` unless 0 < level < 1."""
     if not 0.0 < level < 1.0:
         raise error("level must lie in (0, 1)")
-    return float(ndtri(0.5 + level / 2.0))
+    q = 0.5 + level / 2.0
+    # a level within an ulp of 1 rounds q up to 1, whose quantile is infinite
+    return NormalDist().inv_cdf(q) if q < 1.0 else math.inf
 
 
 def _ate_result(y, w1, w0, mu1, mu0, se, level, notes,

@@ -25,8 +25,10 @@ a constant covariate.
 The module also holds the one Newton logistic fit, ``_logistic_mle``: one
 fit per row of counts over a ``_Design``. The solver's path start and the
 baselines' full-sample propensity are its one-row case; the bootstrap runs
-it on blocks of resamples. A design forms its stack of row outer products
-lazily, at its first Gram of more than one row, so a one-row fit never does.
+it on blocks of resamples. A design forms its stack of upper-triangle row
+products lazily, at its first Gram of more than one row, so a one-row fit
+never does. Every logistic curve in the package is ``expit``, computed in
+place with numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .censoring import CensorSurvival
 from .data import Dataset
@@ -42,6 +43,22 @@ from .errors import InputError
 
 _LOGIT_MAX_ITER = 100    # Newton steps of a logistic fit
 _LOGIT_TOL = 1e-10       # a logistic fit stops once max |step| is this small
+
+
+def expit(z):
+    """The logistic function 1 / (1 + exp(-z)); a scalar z gives a float.
+
+    One new array, updated in place. exp(-z) overflows to inf for
+    z < -709.78, which gives exactly 0 without a warning. Within 2 ulp of
+    the correctly rounded value wherever that is a normal float.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.negative(z, out=np.empty_like(z))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out if out.ndim else float(out)
 
 
 def _check_clip(clip, error=InputError):
@@ -127,7 +144,7 @@ def _weighted_gram(x, w):
 
 # A block of bootstrap resamples is processed at once. Its (block x n) arrays
 # and its (block x q x q) Hessian stack each hold at most about this many
-# floats, and so does a design's stack of row outer products.
+# floats, and a design stacks its row products only when n q is this or less.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -135,11 +152,13 @@ class _Design:
     """Design matrix ``x`` with a stacked weighted Gram.
 
     ``gram(w)`` is ``x.T @ diag(w[b]) @ x`` for every row b of ``w >= 0``.
-    The first call with more than one row forms the n x q^2 row outer
-    products when they take no more memory than q block arrays
-    (n q <= 2^16), and every later call is one product with them. Until
-    then, and always for a wider design, each row takes one
-    ``_weighted_gram``, which keeps memory at O(n q).
+    The first call with more than one row forms the n x q(q + 1)/2
+    upper-triangle row products x_ij x_ik, j <= k, when the full n x q^2
+    would take no more memory than q block arrays (n q <= 2^16). Every
+    later call is one product with them, mirrored into the (rows, q, q)
+    stack, so each Gram is exactly symmetric. Until then, and always for a
+    wider design, each row takes one ``_weighted_gram``, which keeps memory
+    at O(n q).
     """
 
     def __init__(self, x):
@@ -150,10 +169,14 @@ class _Design:
         x = self.x
         n, q = x.shape
         if self._outer is None and w.shape[0] > 1 and n * q <= _BLOCK_FLOATS:
-            self._outer = (x[:, :, None] * x[:, None, :]).reshape(n, q * q)
+            j, k = np.triu_indices(q)
+            self._outer = x[:, j] * x[:, k]
+            # Gram entries (j, k) and (k, j) both read the product column of j <= k
+            self._mirror = np.empty((q, q), dtype=np.intp)
+            self._mirror[j, k] = self._mirror[k, j] = np.arange(j.size)
         if self._outer is None:
             return np.array([_weighted_gram(x, wb) for wb in w]).reshape(-1, q, q)
-        return (w @ self._outer).reshape(-1, q, q)
+        return (w @ self._outer)[:, self._mirror]
 
 
 def _solve(a, b, fallback):

@@ -30,15 +30,13 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from .baselines import _check_n_boot, fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
 from .censoring import _check_floor, fit_censoring_km
 from .data import Dataset
 from .errors import ConfigError, DumpFormatError, InputError, SurvCbpsError
 from .inference import _z_value, ate_with_ci
-from .moments import _check_clip
+from .moments import _check_clip, expit
 from .solver import select_tau
 
 SCHEMA_VERSION = 1
@@ -201,6 +199,7 @@ class SimReport:
                 f"unknown schema_version {version!r}; this build reads "
                 f"{SCHEMA_VERSION}"
             )
+        _check_json_types(cls, doc, "")
         reps = doc.get("replications")
         if not reps:
             raise DumpFormatError("dump has an empty replication list")
@@ -209,6 +208,7 @@ class SimReport:
                    if not isinstance(config, dict) or f.name not in config]
         if missing:
             raise DumpFormatError(f"malformed dump: config lacks {', '.join(missing)}")
+        _check_json_types(SimConfig, config, "config.")
         try:
             return cls(
                 config=SimConfig(**config),
@@ -221,19 +221,25 @@ class SimReport:
             raise DumpFormatError(f"malformed dump: {exc}") from None
 
 
-# a dump record field's JSON types, by its annotation: a number is an int
-# or a float, never a bool
+# a dump field's JSON types, by its annotation: a number is an int or a
+# float, never a bool
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
-               "str | None": (str, type(None))}
+               "str | None": (str, type(None)), "tuple": (list,),
+               "SimConfig": (dict,)}
+
+
+def _check_json_types(cls, item, where):
+    """DumpFormatError unless each field of cls in item has its JSON type."""
+    for f in fields(cls):
+        if f.name in item and type(item[f.name]) not in _JSON_TYPES[f.type]:
+            raise DumpFormatError(
+                f"malformed dump: {where}{f.name} must be {f.type}")
 
 
 def _records(cls, items, where):
     """The records cls(**item) of a dump list, each field of its JSON type."""
     for k, item in enumerate(items):
-        for f in fields(cls):
-            if f.name in item and type(item[f.name]) not in _JSON_TYPES[f.type]:
-                raise DumpFormatError(
-                    f"malformed dump: {where}[{k}].{f.name} must be {f.type}")
+        _check_json_types(cls, item, f"{where}[{k}].")
     return tuple(cls(**item) for item in items)
 
 
@@ -283,6 +289,9 @@ def _draw_structural(rng, config, n, chol, beta, gamma):
 @lru_cache(maxsize=32)
 def _censor_rate(config: SimConfig) -> float:
     """Exponential censoring rate hitting the target fraction (pilot run)."""
+    # imported here, so that importing the package does not load scipy.optimize
+    from scipy.optimize import brentq
+
     if config.censor_target == 0.0:
         return 0.0
     rng = _stream(config, _STREAM_PILOT)

@@ -79,6 +79,8 @@ SPOILED_DUMPS = {
     "no_config_n": lambda doc: doc["config"].pop("n"),
     "row_bias_text": lambda doc: doc["rows"][0].update(bias="abc"),
     "rep_estimate_text": lambda doc: doc["replications"][0].update(estimate="abc"),
+    "true_ate_number_text": lambda doc: doc.update(true_ate="1.5"),
+    "config_n_float": lambda doc: doc["config"].update(n=60.0),
 }
 
 

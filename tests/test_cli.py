@@ -1,6 +1,9 @@
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +375,16 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip() == sc.__version__
+
+
+def test_importing_the_cli_loads_neither_scipy_special_nor_optimize():
+    """`survcbps fit` and `report` start without the two slowest scipy parts."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, survcbps.cli; "
+            "print([m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -83,6 +83,21 @@ def test_csv_round_trip(tmp_path):
     assert back.covariate_names == data.covariate_names
 
 
+def test_csv_round_trip_with_own_covariate_names(tmp_path):
+    _, delta, d, _ = _valid_arrays()
+    rng = np.random.default_rng(6)
+    y, x = rng.exponential(size=6), rng.standard_normal((6, 2)) / 3.0
+    data = sc.Dataset(y=y, delta=delta, d=d, x=x, covariate_names=("age", "bmi"))
+    path = tmp_path / "named.csv"
+    sc.write_csv(data, path)
+    back = sc.parse_csv(path)
+    assert back.covariate_names == ("x1", "x2")
+    for a, b in ((back.y, data.y), (back.x, data.x)):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    np.testing.assert_array_equal(back.delta, data.delta)
+    np.testing.assert_array_equal(back.d, data.d)
+
+
 def test_parse_csv_column_order_independent(tmp_path):
     path = tmp_path / "shuffled.csv"
     path.write_text(

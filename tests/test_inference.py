@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import survcbps as sc
-from survcbps.inference import ate_with_ci, normalized_weights, weighted_median
+from survcbps.inference import _z_value, ate_with_ci, normalized_weights, weighted_median
 from survcbps.moments import PropensityParams
 from survcbps.solver import fit_pel
 from tests.conftest import ipcw_hajek_means, sandwich_sigma, small_dataset
@@ -35,6 +36,14 @@ def test_normalized_weights_sum_to_one(toy_data):
     # at beta = 0 the weights are uniform within each arm
     n1 = int((toy_data.d == 1).sum())
     np.testing.assert_allclose(w1[toy_data.d == 1], np.full(n1, 1.0 / n1))
+
+
+def test_z_value_matches_scipy_quantile_within_a_few_ulp():
+    for level in (1e-9, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-12):
+        z = _z_value(level)
+        assert abs(z - ndtri(0.5 + level / 2.0)) <= 4 * np.spacing(z)
+    # the largest level below 1 rounds its quantile's argument up to 1
+    assert _z_value(np.nextafter(1.0, 0.0)) == np.inf
 
 
 def _fitted(data, tau=0.05):

@@ -1,15 +1,20 @@
+import decimal
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import root
-from scipy.special import expit
+from scipy.special import expit as scipy_expit
 
 import survcbps as sc
 from survcbps.moments import (
     PropensityParams,
+    _Design,
     _lstsq,
     _moment_rows,
     _solve,
     _weighted_gram,
+    expit,
     jacobian_g,
     propensity,
     stack_g,
@@ -21,11 +26,56 @@ from tests.conftest import BAD_CLIPS
 def test_propensity_closed_form():
     params = PropensityParams(beta=np.array([1.0, -2.0]), clip=0.01)
     x = np.array([0.3, 0.1])
-    assert propensity(params, x) == pytest.approx(expit(0.3 - 0.2))
+    assert propensity(params, x) == pytest.approx(scipy_expit(0.3 - 0.2))
     xs = np.array([[0.3, 0.1], [10.0, 0.0], [-10.0, 0.0]])
     pis = propensity(params, xs)
     assert pis[1] == 0.99  # clipped high
     assert pis[2] == 0.01  # clipped low
+
+
+def _ulps(a, b):
+    """Units in the last place between same-sign finite floats."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_expit_is_within_two_ulp_of_the_rounded_logistic():
+    z = np.linspace(-800.0, 800.0, 16001)
+    ctx = decimal.Context(prec=50)
+    exact = np.array([
+        float(ctx.divide(1, ctx.add(1, ctx.exp(decimal.Decimal(-v)))))
+        for v in z.tolist()
+    ])
+    got = expit(z)
+    normal = exact >= np.finfo(float).tiny
+    assert _ulps(got, exact)[normal].max() <= 2
+    # below the normal range only absolute error is meaningful
+    assert np.abs(got - exact)[~normal].max() < np.finfo(float).tiny
+    # scipy's expit is within 2 ulp as well
+    assert _ulps(got, scipy_expit(z))[normal].max() <= 4
+
+
+def test_expit_takes_scalars_and_extremes_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        half = expit(0.0)
+        assert half == 0.5 and type(half) is float
+        assert expit(np.float64(-800.0)) == 0.0 and expit(800) == 1.0
+        out = expit(np.array([[-1000.0, 0.0, 1000.0]]))
+    assert out.shape == (1, 3) and out.tolist() == [[0.0, 0.5, 1.0]]
+
+
+def test_stacked_gram_mirrors_its_upper_triangle_exactly():
+    rng = np.random.default_rng(4)
+    n, q = 300, 6
+    x = rng.standard_normal((n, q))
+    w = rng.integers(0, 3, (5, n)).astype(float)
+    design = _Design(x)
+    gram = design.gram(w)
+    assert design._outer.shape == (n, q * (q + 1) // 2)
+    np.testing.assert_array_equal(gram, gram.transpose(0, 2, 1))
+    np.testing.assert_allclose(
+        gram, np.einsum("ni,bn,nj->bij", x, w, x), rtol=1e-12, atol=1e-9
+    )
 
 
 def test_params_validation():
@@ -111,7 +161,7 @@ def test_balance_root_recovers_weight_equality():
     rng = np.random.default_rng(23)
     n, p = 400, 2
     x = rng.standard_normal((n, p))
-    d = (rng.random(n) < expit(x @ np.array([0.7, -0.4]))).astype(int)
+    d = (rng.random(n) < scipy_expit(x @ np.array([0.7, -0.4]))).astype(int)
     y = rng.exponential(1.0, n)
     data = sc.Dataset(y=y, delta=np.ones(n, dtype=int), d=d, x=x)
     k1 = sc.fit_censoring_km(data, 1)

@@ -238,6 +238,11 @@ def test_dump_rejects_bad_documents():
      "replications[0].rep must be int"),
     (lambda doc: doc["replications"][0].update(error=3),
      "replications[0].error must be str | None"),
+    (lambda doc: doc.update(true_ate_mc_se="0.01"), "true_ate_mc_se must be float"),
+    (lambda doc: doc["config"].update(n=60.0), "config.n must be int"),
+    (lambda doc: doc["config"].update(estimators="naive_ipw"),
+     "config.estimators must be tuple"),
+    (lambda doc: doc.update(rows={}), "rows must be tuple"),
 ])
 def test_dump_error_names_the_field(spoil, named):
     doc = small_dump()
@@ -251,9 +256,11 @@ def test_dump_fields_take_any_json_number_and_error_text():
     doc = small_dump()
     doc["rows"][0]["bias"] = 0
     doc["replications"][0]["error"] = "FitError: no fit"
+    doc["config"]["lambda0"] = 2
     report = SimReport.from_dump(doc)
     assert report.rows[0].bias == 0
     assert report.replications[0].error == "FitError: no fit"
+    assert report.config.lambda0 == 2
 
 
 @pytest.mark.parametrize("content", [b'{"schema_version": "\xff"}\n', b"{not json"])
