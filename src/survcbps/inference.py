@@ -163,12 +163,15 @@ def _sandwich(gmat, g1):
 
 
 def _z_value(level, error=InputError):
-    """The two-sided normal quantile of ``level``; ``error`` unless 0 < level < 1."""
-    if not 0.0 < level < 1.0:
-        raise error("level must lie in (0, 1)")
+    """The two-sided normal quantile of ``level``; ``error`` unless 0 < level < 1.
+
+    A level within an ulp of 1 rounds 0.5 + level / 2 up to 1, whose
+    quantile is infinite, so it fails too.
+    """
     q = 0.5 + level / 2.0
-    # a level within an ulp of 1 rounds q up to 1, whose quantile is infinite
-    return NormalDist().inv_cdf(q) if q < 1.0 else math.inf
+    if not 0.0 < level < 1.0 or q == 1.0:
+        raise error("level must lie in (0, 1)")
+    return NormalDist().inv_cdf(q)
 
 
 def _ate_result(y, w1, w0, mu1, mu0, se, level, notes,

@@ -32,15 +32,19 @@ steps run out.
 The inner problem is solved by a chord-Newton iteration (Kelley 2003,
 Solving Nonlinear Equations with Newton's Method). A fresh Newton step
 forms the Hessian g' diag(-log*'') g as one symmetric product, O(n m^2),
-factors it by Cholesky, and halves a rejected step up to 60 times at O(n)
-a halving. A solve handed the factor of an earlier Hessian first steps
-with that factor instead, at O(n m) a step. It keeps doing so while each
-full chord step passes the same sufficient-increase test and at least
-halves the largest gradient entry. A chord step that fails either test,
-or whose model gain is below the resolution of the objective, hands over
-to fresh Newton steps for the rest of the solve. Only a fresh Newton
-direction can declare the iterate numerically optimal, so the stopping
-rules are those of plain Newton. One pass over the rows at each beta,
+takes its direction from an LU solve (least squares if that fails), and
+halves a rejected step up to 60 times at O(n) a halving. The slot keeps
+that Hessian. A solve handed an earlier Hessian first steps with its
+inverse instead, at O(n m) a step; the slot forms the inverse the first
+time a chord step needs it, at most once per Hessian. The solve keeps
+doing so while each full chord step passes the same sufficient-increase
+test and at least halves the largest gradient entry. A chord step that
+fails either test hands over to fresh Newton steps for the rest of the
+solve. A chord step whose model gain is below the resolution of the
+objective ends the solve as a converged stall once the solve has accepted
+a step, all of which were then contracting chord steps; at the first step
+it hands over to a fresh Newton step instead, so a stale Hessian cannot
+pass for a stall. One pass over the rows at each beta,
 moments._moment_rows, gives the moment matrix and the slopes from which
 the outer step's profile gradient and Jacobian follow.
 
@@ -52,11 +56,11 @@ centering would implicitly add one.
 select_tau builds one _Path for its whole penalty path: the rescaled
 design, the censoring curves at the observed times, the (beta, lam) of
 the last successful fit, kept in the internal scale, and a slot for the
-Cholesky factor of the last inner Hessian. Each fit starts at that beta
-and dual vector, where the first inner problem is already solved, so it
-costs at most a Newton step. Every inner solve on the path, whether for a
-line-search candidate, an outer step or a new tau, hands the slot on, so
-the dual mostly moves by chord steps. A failed fit leaves beta and lam as
+last inner Hessian. Each fit starts at that beta and dual vector, where
+the first inner problem is already solved, so it costs at most a Newton
+step. Every inner solve on the path, whether for a line-search
+candidate, an outer step or a new tau, hands the slot on, so the dual
+mostly moves by chord steps. A failed fit leaves beta and lam as
 they were, and the beta = 0 fallback starts the dual cold: its outcome
 does not depend on tau. A stand-alone fit_pel builds its own one-tau path.
 Both take the propensity clip bound as a plain argument, which the path
@@ -85,7 +89,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .censoring import CensorSurvival
 from .data import Dataset
@@ -95,6 +98,7 @@ from .moments import (
     _check_clip,
     _Design,
     _logistic_mle,
+    _lstsq,
     _mean_jacobian,
     _moment_rows,
     _own_arm_k,
@@ -133,12 +137,26 @@ class ELDualState:
 
 
 class _FactorSlot:
-    """The cho_factor of the last inner Hessian, or None."""
+    """The last fresh inner Hessian, or None, and its inverse once formed.
 
-    __slots__ = ("cf",)
+    A chord step multiplies the gradient by the inverse, which the slot
+    forms from the kept Hessian the first time a step asks for it, so at
+    most once per Hessian.
+    """
+
+    __slots__ = ("hess", "_inv")
 
     def __init__(self):
-        self.cf = None
+        self.keep(None)
+
+    def keep(self, hess):
+        self.hess = hess
+        self._inv = None
+
+    def inverse(self):
+        if self._inv is None:
+            self._inv = np.linalg.inv(self.hess)
+        return self._inv
 
 
 @dataclass(frozen=True)
@@ -189,9 +207,9 @@ def solve_inner_dual(
 ) -> ELDualState:
     """Chord-Newton maximization of the pseudo-log dual objective.
 
-    factor, when given, holds the Cholesky factor of an earlier Hessian of
-    the same size; the solve may step with it first and leaves the factor
-    of its last fresh Hessian there.
+    factor, when given, holds an earlier Hessian of the same size; the
+    solve may step with its inverse first and leaves its last fresh
+    Hessian there.
     """
     g = np.asarray(gmat, dtype=float)
     if g.ndim != 2:
@@ -222,7 +240,7 @@ def solve_inner_dual(
     hessians = 0
     stalled = False
     # chord steps run from the first step only, while each one contracts
-    chord = slot.cf is not None and slot.cf[0].shape == (m, m)
+    chord = slot.hess is not None and slot.hess.shape == (m, m)
     while iters < _INNER_MAX_ITER and gnorm > tol:
         # the model improvement for the full step is slope/2; once that is
         # below floating resolution of the objective no line search can
@@ -230,12 +248,18 @@ def solve_inner_dual(
         floor = 8.0 * np.finfo(float).eps * (1.0 + abs(val))
         accepted = False
         if chord:
-            direction = cho_solve(slot.cf, grad, check_finite=False)
+            direction = slot.inverse() @ grad
             slope = float(grad @ direction)
             if 0.5 * slope > floor:
                 zc = z + g @ direction
                 vc = float(np.sum(_logstar(zc, eps)))
                 accepted = vc >= val + 1e-4 * slope
+            elif iters:
+                # every step so far was a contracting chord step, so the
+                # kept Hessian's model certifies the stall; at the first
+                # step a stale one could pass for one
+                stalled = True
+                break
             chord = accepted
         if not accepted:
             # fresh Newton step; -log*'' is 1/z^2 or 1/eps^2, positive on
@@ -245,16 +269,15 @@ def solve_inner_dual(
             a_mat[np.diag_indices_from(a_mat)] += ridge
             hessians += 1
             try:
-                slot.cf = cho_factor(a_mat, check_finite=False)
-                direction = cho_solve(slot.cf, grad, check_finite=False)
+                direction = np.linalg.solve(a_mat, grad)
+                slot.keep(a_mat)
             except np.linalg.LinAlgError:
-                slot.cf = None
-                direction = _solve_or_lstsq(a_mat, grad)
+                slot.keep(None)
+                direction = _lstsq(a_mat, grad)
             slope = float(grad @ direction)
             if slope <= 0.0:
                 direction = grad
                 slope = float(grad @ grad)
-            # only the Newton model certifies the iterate numerically optimal
             if 0.5 * slope <= floor:
                 stalled = True
                 break
@@ -302,12 +325,12 @@ class _Path:
     """One dataset's penalty path: shared arrays and the warm start.
 
     beta and lam are those of the last successful fit, in the internal
-    (rescaled) coordinates; None before the first. factor holds the
-    Cholesky factor of the last inner Hessian formed on the path, which
-    every inner solve (line-search candidates, outer steps, taus) may
-    step with first. h_el is the last outer curvature n * G' V^{-1} G,
-    or None, and h_support and h_free the support and clip mask of the
-    beta it was formed at.
+    (rescaled) coordinates; None before the first. factor holds the last
+    inner Hessian formed on the path, whose inverse every inner solve
+    (line-search candidates, outer steps, taus) may step with first.
+    h_el is the last outer curvature n * G' V^{-1} G, or None, and
+    h_support and h_free the support and clip mask of the beta it was
+    formed at.
     """
 
     def __init__(self, data: Dataset, k1, k0, clip: float):

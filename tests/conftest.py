@@ -54,7 +54,7 @@ def ipcw_hajek_means(y, delta, d, pi, kdy):
 
 # out-of-range clip bounds and confidence levels; every entry point rejects them
 BAD_CLIPS = [0.0, -0.1, 0.5, 0.7, float("nan")]
-BAD_LEVELS = [0.0, 1.0, 1.5, -0.1, float("nan")]
+BAD_LEVELS = [0.0, 1.0, 1.5, -0.1, float("nan"), float(np.nextafter(1.0, 0.0))]
 # out-of-range censoring-curve floors and bootstrap sizes
 BAD_FLOORS = [0.0, 1.0, 1.5, -0.1, float("nan")]
 BAD_N_BOOTS = [0, -3]

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
 from scipy.optimize import minimize
 
 import survcbps as sc
@@ -167,7 +166,7 @@ def test_chord_steps_along_a_beta_sequence_reach_the_newton_optimum(toy_data):
         assert abs(state.inner_objective - ref.inner_objective) <= 1e-10 * (
             1.0 + abs(ref.inner_objective)
         )
-        assert slot.cf is not None and slot.cf[0].shape == (gm.shape[1],) * 2
+        assert slot.hess is not None and slot.hess.shape == (gm.shape[1],) * 2
         chained += state.hessians
         fresh += ref.hessians
         lam = state.lam
@@ -185,12 +184,12 @@ def test_a_stale_factor_is_refreshed(toy_data):
     # and x1e10 puts its model gain below the resolution of the objective,
     # which must not pass for a stall
     scaled = [
-        cho_factor(_weighted_gram(c * gm, np.ones(gm.shape[0])))
+        _weighted_gram(c * gm, np.ones(gm.shape[0]))
         for c in (100.0, 0.01, 1e10)
     ]
-    for cf in [cho_factor(np.eye(m + 1)), *scaled]:
+    for hess in [np.eye(m + 1), *scaled]:
         slot = _FactorSlot()
-        slot.cf = cf
+        slot.keep(hess)
         state = solve_inner_dual(gm, factor=slot)
         assert state.converged
         assert state.hessians >= 1
@@ -198,7 +197,23 @@ def test_a_stale_factor_is_refreshed(toy_data):
             1.0 + abs(ref.inner_objective)
         )
         np.testing.assert_allclose(state.lam, ref.lam, atol=1e-6)
-        assert slot.cf[0].shape == (m, m)
+        assert slot.hess.shape == (m, m)
+
+
+def test_a_stall_at_the_first_step_is_certified_by_a_fresh_hessian():
+    data = small_dataset(seed=2, n=1000, p=5)
+    path, _, _ = _toy_path(data)
+    gm = _toy_moments(path, np.linspace(0.3, -0.2, 5))
+    slot = _FactorSlot()
+    ref = solve_inner_dual(gm, factor=slot)
+    # at n = 1000 the absolute gradient stop is out of reach: a stall
+    assert ref.converged and ref.grad_norm > 1e-8
+    # the slot holds the Hessian at ref.lam, whose chord model gain is
+    # below resolution; only a fresh Newton direction may say so
+    state = solve_inner_dual(gm, ref.lam, factor=slot)
+    assert state.converged
+    assert state.hessians == 1
+    assert state.iterations == 0
 
 
 def test_path_q_eval_composes_inner_and_penalty(toy_data):
@@ -481,6 +496,19 @@ def test_select_tau_inner_hessian_budget(toy_data, monkeypatch):
     # a fresh Hessian at every Newton step took 92
     assert len(grams) < 46
     assert sum(state.hessians for state in states) == len(grams)
+
+
+def test_select_tau_wide_inner_hessian_budget(monkeypatch):
+    data, _ = sc.generate_dataset(sc.SimConfig(n=2000, p=100, seed=7), 0)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    grams = _count_calls(monkeypatch, "_weighted_gram")
+    tau, fit = select_tau(data, k1, k0)
+    # a Newton step to certify every stall took 151; contracting chord
+    # steps certify most of them
+    assert len(grams) <= 75
+    assert tau == default_tau_grid(data.n, data.p)[7]
+    assert fit.active_set.tolist() == [0, 1, 2, 3, 4, 89]
 
 
 def test_select_tau_fails_fast_when_the_start_is_infeasible(monkeypatch):
