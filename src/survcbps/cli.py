@@ -17,12 +17,14 @@ A non-converged fit or more than 5% failed replications also exits 3.
 
 ``fit`` makes one ``select_tau`` call: ``--tau X`` is the one-value grid
 [X], so it writes the same JSON as ``--tau-grid X``. The clip bound, the
-censoring floor and the level are checked before the data are read.
+censoring floor, the level and the ``--out`` target are checked before the
+data are read.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -164,11 +166,29 @@ def _tau_grid(args):
         raise ConfigError(f"bad --tau-grid: {args.tau_grid!r}") from None
 
 
+def _check_out_path(path) -> None:
+    """The OSError that writing the fit JSON to path would raise, before any
+    work; the file itself is neither created nor truncated."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not path or not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def cmd_fit(args) -> int:
     _check_clip(args.clip)
     _check_floor(args.km_floor)
     _z_value(args.level)
     grid = _tau_grid(args)
+    _check_out_path(args.out)
     data = parse_csv(args.data)
     k1 = fit_censoring_km(data, 1, floor=args.km_floor)
     k0 = fit_censoring_km(data, 0, floor=args.km_floor)

@@ -286,14 +286,8 @@ def _draw_structural(rng, config, n, chol, beta, gamma):
     return x, d, t1, t0
 
 
-@lru_cache(maxsize=32)
-def _censor_rate(config: SimConfig) -> float:
-    """Exponential censoring rate hitting the target fraction (pilot run)."""
-    # imported here, so that importing the package does not load scipy.optimize
-    from scipy.optimize import brentq
-
-    if config.censor_target == 0.0:
-        return 0.0
+def _pilot_times(config: SimConfig) -> np.ndarray:
+    """Observed-arm event times of the 100k-draw censoring-rate pilot."""
     rng = _stream(config, _STREAM_PILOT)
     chol = _chol(config)
     beta, gamma = build_beta(config), build_gamma(config)
@@ -304,15 +298,30 @@ def _censor_rate(config: SimConfig) -> float:
         x, d, t1, t0 = _draw_structural(rng, config, chunk, chol, beta, gamma)
         times.append(np.where(d == 1, t1, t0))
         remaining -= chunk
-    t = np.concatenate(times)
+    return np.concatenate(times)
 
-    def frac(rate):
-        return float(np.mean(-np.expm1(-rate * t))) - config.censor_target
 
-    hi = 1.0
-    while frac(hi) < 0 and hi < 2.0**40:
-        hi *= 2.0
-    return float(brentq(frac, 0.0, hi, xtol=1e-12, rtol=1e-12))
+@lru_cache(maxsize=32)
+def _censor_rate(config: SimConfig) -> float:
+    """Exponential censoring rate hitting the target fraction (pilot run).
+
+    The censored fraction f(r) = 1 - mean(exp(-r t)) is increasing and
+    concave in r, so each Newton step on f(r) = target from r = 0 lands at
+    or below the root: the iterates climb to it without a bracket, and stop
+    once a step is lost in the rounding of r.
+    """
+    if config.censor_target == 0.0:
+        return 0.0
+    t = _pilot_times(config)
+    rate = 0.0
+    for _ in range(100):
+        em1 = np.expm1(-rate * t)
+        step = (config.censor_target + float(np.mean(em1))) / float(
+            np.mean(t * (em1 + 1.0)))
+        rate += step
+        if step <= 4.0 * np.finfo(float).eps * rate:
+            break
+    return rate
 
 
 @lru_cache(maxsize=32)
@@ -395,9 +404,11 @@ def _run_rep(args) -> list:
         try:
             res = _fit_one(name, config, data, rep)
             elapsed = (time.perf_counter() - start) * 1000.0
+            bad = [key for key in ("ate", "se", "ci_low", "ci_high")
+                   if not math.isfinite(getattr(res, key))]
             out.append(RepRecord(
-                rep, name, res.ate, res.ci_low, res.ci_high, res.se,
-                elapsed, None,
+                rep, name, res.ate, res.ci_low, res.ci_high, res.se, elapsed,
+                f"non-finite {', '.join(bad)}" if bad else None,
             ))
         except (SurvCbpsError, np.linalg.LinAlgError) as exc:
             elapsed = (time.perf_counter() - start) * 1000.0

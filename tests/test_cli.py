@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -308,6 +309,48 @@ def test_unwritable_output_is_a_typed_failure(
     assert json.loads(capsys.readouterr().out)["error"]["category"] == "file"
 
 
+@pytest.mark.parametrize("target", ["directory", "missing_parent", "file_parent", "empty"])
+def test_fit_out_that_cannot_be_written_fails_before_the_fit(
+    target, data_csv, tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(cli, "select_tau", never)
+    (tmp_path / "file").write_text("kept")
+    out = {"directory": tmp_path, "missing_parent": tmp_path / "missing" / "fit.json",
+           "file_parent": tmp_path / "file" / "fit.json", "empty": ""}[target]
+    assert main(["fit", "--data", data_csv, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["category"] == "file"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_fit_out_check_leaves_an_existing_file_alone(data_csv, tmp_path, monkeypatch):
+    out = tmp_path / "fit.json"
+    out.write_text("kept")
+
+    def stop(*args, **kwargs):
+        raise sc.FitError("stopped after the out check")
+
+    monkeypatch.setattr(cli, "select_tau", stop)
+    assert main(["fit", "--data", data_csv, "--out", str(out)]) == 3
+    assert out.read_text() == "kept"
+
+
+def test_simulate_with_no_finite_interval_counts_failures(tmp_path, capsys):
+    argv = ["simulate", "--n", "60", "--p", "5", "--replications", "3",
+            "--estimators", "naive_ipw", "--n-boot", "5",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
+    capsys.readouterr()
+    report = sc.load_dump(tmp_path / "dump.json")
+    assert report.rows[0].n_fail == 3
+    assert math.isnan(report.rows[0].coverage_pct)
+    assert all(r.error == "non-finite se, ci_low, ci_high"
+               for r in report.replications)
+
+
 def test_unwritable_study_output_is_a_typed_failure(tmp_path, capsys):
     (tmp_path / "report.csv").mkdir()
     argv = ["--n", "60", "--p", "5", "--replications", "2",
@@ -377,34 +420,27 @@ def test_version_flag(capsys):
     assert out.strip() == sc.__version__
 
 
-def test_importing_the_cli_loads_neither_scipy_special_nor_optimize():
-    """`survcbps fit` and `report` start without the two slowest scipy parts."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, survcbps.cli; "
-            "print([m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
-
-
-def test_fit_and_report_run_without_loading_scipy(tmp_path):
-    """`survcbps fit` and `report` load no scipy module, at import or at work."""
+def test_fit_simulate_and_report_run_with_scipy_blocked(tmp_path):
+    """numpy is the only runtime dependency: with every scipy import made to
+    fail, `survcbps fit`, `simulate` and `report` each exit 0."""
     data, out, dump = tmp_path / "data.csv", tmp_path / "fit.json", tmp_path / "dump.json"
     sc.write_csv(small_dataset(seed=23, n=200, p=10), data)
     dump.write_text(json.dumps(small_dump()))
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import json, sys; from survcbps import cli; "
+    code = ("import json, sys; sys.modules['scipy'] = None; "
+            "from survcbps import cli; "
             "codes = [cli.main(['fit', '--data', sys.argv[1], '--out', sys.argv[2]]), "
+            "cli.main(['simulate', '--n', '60', '--p', '5', '--replications', '2', "
+            "'--estimators', 'naive_ipw', '--n-boot', '20', '--out-dir', sys.argv[4]]), "
             "cli.main(['report', '--in', sys.argv[3]])]; "
             "print(json.dumps([codes, sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.'))]))")
-    proc = subprocess.run([sys.executable, "-c", code, str(data), str(out), str(dump)],
+            "if m.startswith('scipy.'))]))")
+    argv = [str(data), str(out), str(dump), str(tmp_path / "sim_out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0], []]
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0, 0], []]
     assert json.loads(out.read_text())["command"] == "fit"
+    assert (tmp_path / "sim_out" / "dump.json").is_file()

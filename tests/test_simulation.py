@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 import survcbps as sc
 from survcbps.simulation import (
     SimConfig,
     SimReport,
+    _censor_rate,
+    _pilot_times,
     build_beta,
     build_gamma,
     covariance_matrix,
@@ -107,6 +110,29 @@ def test_zero_censoring_target():
     data, truth = generate_dataset(cfg, 0)
     assert truth.censor_rate == 0.0
     assert np.all(data.delta == 1)
+
+
+@pytest.mark.parametrize("config", [
+    *(SimConfig(censor_target=c) for c in (0.02, 0.3, 0.9, 0.99)),
+    SimConfig(covariance="ar", ar_rho=0.9),
+], ids=["target0.02", "target0.3", "target0.9", "target0.99", "ar0.9"])
+def test_censor_rate_matches_brentq_and_hits_the_target(config):
+    t = _pilot_times(config)
+
+    def excess(rate):
+        return float(np.mean(-np.expm1(-rate * t))) - config.censor_target
+
+    hi = 1.0
+    while excess(hi) < 0:
+        hi *= 2.0
+    oracle = brentq(excess, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    rate = _censor_rate(config)
+    assert abs(rate - oracle) <= 1e-12 * oracle
+    assert abs(excess(rate)) <= 1e-12
+
+
+def test_censor_rate_of_target_zero_is_exactly_zero():
+    assert _censor_rate(SimConfig(censor_target=0.0)) == 0.0
 
 
 def test_true_ate_matches_lognormal_closed_form():
