@@ -420,6 +420,39 @@ def test_version_flag(capsys):
     assert out.strip() == sc.__version__
 
 
+def test_importing_the_cli_loads_neither_scipy_special_nor_optimize():
+    """`survcbps fit` and `report` start without the two slowest scipy parts."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, survcbps.cli; "
+            "print([m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
+def test_fit_and_report_run_without_loading_scipy(tmp_path):
+    """`survcbps fit` and `report` load no scipy module, at import or at work."""
+    data, out, dump = tmp_path / "data.csv", tmp_path / "fit.json", tmp_path / "dump.json"
+    sc.write_csv(small_dataset(seed=23, n=200, p=10), data)
+    dump.write_text(json.dumps(small_dump()))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys; from survcbps import cli; "
+            "codes = [cli.main(['fit', '--data', sys.argv[1], '--out', sys.argv[2]]), "
+            "cli.main(['report', '--in', sys.argv[3]])]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(data), str(out), str(dump)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0], []]
+    assert json.loads(out.read_text())["command"] == "fit"
+
+
 def test_fit_simulate_and_report_run_with_scipy_blocked(tmp_path):
     """numpy is the only runtime dependency: with every scipy import made to
     fail, `survcbps fit`, `simulate` and `report` each exit 0."""
