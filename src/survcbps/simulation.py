@@ -25,7 +25,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
@@ -36,7 +35,7 @@ from .censoring import _check_floor, fit_censoring_km
 from .data import Dataset
 from .errors import ConfigError, DumpFormatError, InputError, SurvCbpsError
 from .inference import _z_value, ate_with_ci
-from .moments import _check_clip, expit
+from .moments import _BLOCK_FLOATS, _check_clip, expit
 from .solver import select_tau
 
 SCHEMA_VERSION = 1
@@ -274,31 +273,41 @@ def _chol(config: SimConfig):
     return np.linalg.cholesky(covariance_matrix(config))
 
 
-def _draw_structural(rng, config, n, chol, beta, gamma):
-    """X, D and both potential event times for n subjects."""
-    z = rng.standard_normal((n, config.p))
-    x = z if chol is None else z @ chol.T
-    d = (rng.random(n) < expit(x @ beta)).astype(np.int8)
-    w1 = rng.weibull(config.weibull_k, n)
-    w0 = rng.weibull(config.weibull_k, n)
-    t1 = config.lambda0 * np.exp(x @ gamma) * w1
-    t0 = config.lambda0 * w0
-    return x, d, t1, t0
-
-
 def _pilot_times(config: SimConfig) -> np.ndarray:
-    """Observed-arm event times of the 100k-draw censoring-rate pilot."""
+    """Observed-arm event times of the 100k-draw censoring-rate pilot.
+
+    Each 20 000-draw chunk takes its draws in the order ``generate_dataset``
+    does, but draws its normals in row blocks of about ``_BLOCK_FLOATS``
+    floats and keeps only X'beta and X'gamma of each, so the working memory
+    does not grow with p (a traced peak of 2.7 MB at p = 400, where a whole
+    chunk of X took 130 MB). Blocks span a multiple of 8 rows, at least 64,
+    the last taking the remainder: OpenBLAS groups rows in fours and routes
+    products of few rows to other kernels, and either would change bits.
+    The times then equal a one-shot draw's bit for bit, except possibly an
+    ulp in a few rows under AR covariance when p is large and not a
+    multiple of 8; the rate was unchanged wherever tried.
+    """
     rng = _stream(config, _STREAM_PILOT)
     chol = _chol(config)
     beta, gamma = build_beta(config), build_gamma(config)
-    times = []
-    remaining = 100_000
-    while remaining > 0:
-        chunk = min(remaining, 20_000)
-        x, d, t1, t0 = _draw_structural(rng, config, chunk, chol, beta, gamma)
-        times.append(np.where(d == 1, t1, t0))
-        remaining -= chunk
-    return np.concatenate(times)
+    chunk = 20_000
+    rows = min(chunk, max(64, _BLOCK_FLOATS // config.p // 8 * 8))
+    starts = range(0, chunk - rows + 1, rows)
+    blocks = list(zip(starts, [*starts[1:], chunk]))
+    times = np.empty(100_000)
+    for start in range(0, times.shape[0], chunk):
+        xb, xg = np.empty(chunk), np.empty(chunk)
+        for lo, hi in blocks:
+            z = rng.standard_normal((hi - lo, config.p))
+            x = z if chol is None else z @ chol.T
+            xb[lo:hi] = x @ beta
+            xg[lo:hi] = x @ gamma
+        d = rng.random(chunk) < expit(xb)
+        w1 = rng.weibull(config.weibull_k, chunk)
+        w0 = rng.weibull(config.weibull_k, chunk)
+        t1 = config.lambda0 * np.exp(xg) * w1
+        times[start:start + chunk] = np.where(d, t1, config.lambda0 * w0)
+    return times
 
 
 @lru_cache(maxsize=32)
@@ -330,16 +339,23 @@ def true_ate(config: SimConfig):
 
     X enters the treated event time only through X' gamma, whose law under
     the generator is exactly N(0, gamma' S gamma), so the draw is done on
-    that scalar.
+    that scalar. The 1M differences are formed in place in one array, with
+    the Weibull draws taken in blocks of ``_BLOCK_FLOATS`` (all of w1, then
+    all of w0, as one-shot draws take them from the stream), so the truth
+    holds one 1M array and no 1M temporaries.
     """
     rng = _stream(config, _STREAM_TRUTH)
     gamma = build_gamma(config)
     var_g = float(gamma @ covariance_matrix(config) @ gamma)
     ndraw = 1_000_000
-    z = rng.standard_normal(ndraw) * math.sqrt(var_g)
-    w1 = rng.weibull(config.weibull_k, ndraw)
-    w0 = rng.weibull(config.weibull_k, ndraw)
-    diff = config.lambda0 * (np.exp(z) * w1 - w0)
+    diff = rng.standard_normal(ndraw)
+    diff *= math.sqrt(var_g)
+    np.exp(diff, out=diff)
+    for combine in (np.multiply, np.subtract):  # exp(z) w1, then minus w0
+        for lo in range(0, ndraw, _BLOCK_FLOATS):
+            block = diff[lo:lo + _BLOCK_FLOATS]
+            combine(block, rng.weibull(config.weibull_k, block.shape[0]), out=block)
+    diff *= config.lambda0
     return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(ndraw))
 
 
@@ -348,7 +364,13 @@ def generate_dataset(config: SimConfig, rep_seed: int):
     rng = _stream(config, _STREAM_DATA, rep_seed)
     chol = _chol(config)
     beta, gamma = build_beta(config), build_gamma(config)
-    x, d, t1, t0 = _draw_structural(rng, config, config.n, chol, beta, gamma)
+    z = rng.standard_normal((config.n, config.p))
+    x = z if chol is None else z @ chol.T
+    d = (rng.random(config.n) < expit(x @ beta)).astype(np.int8)
+    w1 = rng.weibull(config.weibull_k, config.n)
+    w0 = rng.weibull(config.weibull_k, config.n)
+    t1 = config.lambda0 * np.exp(x @ gamma) * w1
+    t0 = config.lambda0 * w0
     t_obs = np.where(d == 1, t1, t0)
     rate = _censor_rate(config)
     if rate > 0:
@@ -431,6 +453,10 @@ def run_study(config: SimConfig, workers: int = 1) -> SimReport:
     if workers == 1:
         per_rep = [_run_rep(t) for t in tasks]
     else:
+        # imported here: `survcbps fit` and a one-worker study never load
+        # the multiprocessing modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_run_rep, tasks, chunksize=1))
     records = tuple(rec for group in per_rep for rec in group)

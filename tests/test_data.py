@@ -357,6 +357,110 @@ def test_parse_csv_reads_what_float_reads(tmp_path):
     assert data.x.flags["C_CONTIGUOUS"] and data.y.flags["C_CONTIGUOUS"]
 
 
+def assert_same_dataset(a, b):
+    """Equal arrays, bit for bit, and equal covariate names."""
+    for key in ("y", "delta", "d", "x"):
+        np.testing.assert_array_equal(getattr(a, key).view(np.uint8),
+                                      getattr(b, key).view(np.uint8))
+    assert a.covariate_names == b.covariate_names
+
+
+@pytest.mark.parametrize("faults", [{}, {7: {"x2": "abc"}}], ids=["good", "bad_cell"])
+def test_parse_csv_reads_a_byte_order_mark_copy_alike(tmp_path, faults):
+    """Excel's "CSV UTF-8" files start with a byte-order mark."""
+    path, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    _write_rows(path, faults)
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    if faults:
+        with pytest.raises(sc.RowParseError) as plain_exc:
+            sc.parse_csv(path)
+        with pytest.raises(sc.RowParseError) as bom_exc:
+            sc.parse_csv(bom)
+        assert str(bom_exc.value) == str(plain_exc.value)
+    else:
+        assert_same_dataset(sc.parse_csv(bom), sc.parse_csv(path))
+
+
+@pytest.mark.parametrize("ending", ["\r", "\r\n"])
+def test_parse_csv_reads_other_line_endings_alike(tmp_path, ending):
+    path, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+    _write_rows(path, {})
+    other.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+    assert_same_dataset(sc.parse_csv(other), sc.parse_csv(path))
+
+
+def test_parse_csv_reads_a_last_line_without_newline(tmp_path):
+    path, cut = tmp_path / "lf.csv", tmp_path / "cut.csv"
+    _write_rows(path, {})
+    cut.write_bytes(path.read_bytes().rstrip(b"\n"))
+    data = sc.parse_csv(cut)
+    assert data.n == 40
+    assert_same_dataset(data, sc.parse_csv(path))
+
+
+def test_parse_csv_blank_line_at_the_end_is_a_ragged_row(tmp_path):
+    path = tmp_path / "blank_end.csv"
+    _write_rows(path, {})
+    path.write_text(path.read_text() + "\n")
+    assert reference_parse_error(path) == (41, "<row>", "expected 6 cells, got 0")
+    assert_reads_like_reference(path)
+
+
+@pytest.mark.parametrize("text", ["y,delta,d,x1\n", "y,delta,d,x1", "y,delta,d,x1\r\n"])
+def test_parse_csv_header_only_file_emits_no_warning(tmp_path, text):
+    path = tmp_path / "header.csv"
+    path.write_text(text, newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(sc.SchemaError, match="fewer than two data rows"):
+            sc.parse_csv(path)
+    assert caught == []
+
+
+def _write_large(path, n=6000, p=10, seed=3):
+    """A valid CSV of about 1 MB from a seeded draw; returns its dataset."""
+    rng = np.random.default_rng(seed)
+    data = sc.Dataset(y=rng.exponential(size=n), delta=np.arange(n) % 3 > 0,
+                      d=np.arange(n) % 2, x=rng.standard_normal((n, p)))
+    sc.write_csv(data, path)
+    return data
+
+
+def test_parse_csv_non_utf8_byte_deep_in_a_large_file_is_a_schema_error(
+    tmp_path, capsys
+):
+    """The bad byte sits on data row 5000, far past the first block read."""
+    from survcbps.cli import main
+
+    path = tmp_path / "large.csv"
+    _write_large(path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert sum(map(len, lines[:5000])) > 1 << 20
+    lines[5000] = lines[5000].replace(b".", b".\xff", 1)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(sc.SchemaError, match="UTF-8"):
+        sc.parse_csv(path)
+    assert main(["fit", "--data", str(path)]) == 2
+    assert '"category": "schema"' in capsys.readouterr().out
+
+
+def test_parse_csv_peak_memory_is_a_few_times_its_arrays(tmp_path):
+    """The file's text is never held whole: reading a (2000, 100) CSV of
+    about 4 MB peaks at no more than 3 times the arrays returned."""
+    import tracemalloc
+
+    path = tmp_path / "wide.csv"
+    _write_large(path, n=2000, p=100)
+    tracemalloc.start()
+    try:
+        data = sc.parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(getattr(data, key).nbytes for key in ("y", "delta", "d", "x"))
+    assert path.stat().st_size > 2 * arrays
+    assert peak <= 3 * arrays
+
 def test_write_csv_bytes_match_a_per_cell_repr(tmp_path):
     tiny = np.nextafter(0.0, 1.0)
     y = np.array([0.0, -0.0, tiny, 1e308, 2.2250738585072014e-308 / 3, 0.1])

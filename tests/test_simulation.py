@@ -6,11 +6,15 @@ from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 import survcbps as sc
+from survcbps import simulation
+from survcbps.moments import expit
 from survcbps.simulation import (
     SimConfig,
     SimReport,
     _censor_rate,
+    _chol,
     _pilot_times,
+    _stream,
     build_beta,
     build_gamma,
     covariance_matrix,
@@ -134,6 +138,84 @@ def test_censor_rate_matches_brentq_and_hits_the_target(config):
 def test_censor_rate_of_target_zero_is_exactly_zero():
     assert _censor_rate(SimConfig(censor_target=0.0)) == 0.0
 
+
+def one_shot_pilot_times(config):
+    """The pilot as first written: each 20 000-draw chunk's X drawn whole."""
+    rng = _stream(config, simulation._STREAM_PILOT)
+    chol = _chol(config)
+    beta, gamma = build_beta(config), build_gamma(config)
+    times = []
+    for _ in range(5):
+        z = rng.standard_normal((20_000, config.p))
+        x = z if chol is None else z @ chol.T
+        d = (rng.random(20_000) < expit(x @ beta)).astype(np.int8)
+        w1 = rng.weibull(config.weibull_k, 20_000)
+        w0 = rng.weibull(config.weibull_k, 20_000)
+        t1 = config.lambda0 * np.exp(x @ gamma) * w1
+        t0 = config.lambda0 * w0
+        times.append(np.where(d == 1, t1, t0))
+    return np.concatenate(times)
+
+
+def one_shot_true_ate(config):
+    """The truth as first written: every 1M-draw temporary held at once."""
+    rng = _stream(config, simulation._STREAM_TRUTH)
+    gamma = build_gamma(config)
+    var_g = float(gamma @ covariance_matrix(config) @ gamma)
+    ndraw = 1_000_000
+    z = rng.standard_normal(ndraw) * math.sqrt(var_g)
+    w1 = rng.weibull(config.weibull_k, ndraw)
+    w0 = rng.weibull(config.weibull_k, ndraw)
+    diff = config.lambda0 * (np.exp(z) * w1 - w0)
+    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(ndraw))
+
+
+def assert_matches_one_shot(config, monkeypatch):
+    """The censoring rate and the truth equal the one-shot draws' in float.hex."""
+    rate = _censor_rate.__wrapped__(config)
+    truth = true_ate.__wrapped__(config)
+    monkeypatch.setattr(simulation, "_pilot_times", one_shot_pilot_times)
+    assert rate.hex() == _censor_rate.__wrapped__(config).hex()
+    assert [v.hex() for v in truth] == [v.hex() for v in one_shot_true_ate(config)]
+
+
+@pytest.mark.parametrize("target", [0.3, 0.5])
+@pytest.mark.parametrize("p", [10, 100])
+@pytest.mark.parametrize("covariance", ["identity", "ar"])
+def test_block_draws_match_the_one_shot_draws(covariance, p, target, monkeypatch):
+    config = SimConfig(p=p, covariance=covariance, ar_rho=0.7,
+                       censor_target=target, seed=p)
+    assert_matches_one_shot(config, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("covariance", ["identity", "ar"])
+def test_block_draws_match_the_one_shot_draws_at_p_400(covariance, monkeypatch):
+    assert_matches_one_shot(SimConfig(p=400, covariance=covariance), monkeypatch)
+
+
+def _traced_peak(call):
+    """The bytes that tracemalloc saw allocated at once during call()."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pilot_memory_does_not_grow_with_p():
+    """A whole 20 000 x 400 chunk of X took 130 MB at (300, 400)."""
+    config = SimConfig(n=300, p=400)
+    assert _traced_peak(lambda: _pilot_times(config)) <= 16 * 2**20
+
+
+def test_true_ate_memory_is_one_draw_array_and_blocks():
+    """The 1M-draw temporaries took 43 MB."""
+    config = SimConfig()
+    assert _traced_peak(lambda: true_ate.__wrapped__(config)) <= 24 * 2**20
 
 def test_true_ate_matches_lognormal_closed_form():
     """Monte Carlo truth vs the exact mean difference of the two arms.
