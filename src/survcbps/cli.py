@@ -17,8 +17,8 @@ A non-converged fit or more than 5% failed replications also exits 3.
 
 ``fit`` makes one ``select_tau`` call: ``--tau X`` is the one-value grid
 [X], so it writes the same JSON as ``--tau-grid X``. The clip bound, the
-censoring floor, the level and the ``--out`` target are checked before the
-data are read.
+censoring floor, the level, the tau grid and the ``--out`` target are
+checked before the data are read.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .simulation import (
     run_study,
     write_outputs,
 )
-from .solver import select_tau
+from .solver import _check_tau_grid, select_tau
 
 # glibc's malloc raises its mmap threshold to the largest block freed so far,
 # up to 32 MB, and gives free heap above twice that back to the OS. The
@@ -197,6 +197,8 @@ def cmd_fit(args) -> int:
     _check_floor(args.km_floor)
     _z_value(args.level)
     grid = _tau_grid(args)
+    if grid is not None:
+        _check_tau_grid(grid)
     _check_out_path(args.out)
     data = parse_csv(args.data)
     k1 = fit_censoring_km(data, 1, floor=args.km_floor)

@@ -70,15 +70,12 @@ logistic fit, moments._logistic_mle, with ridge 1e-4 (beta = 0 if that is
 not finite).
 
 The outer curvature n * G' V^{-1} G does not depend on tau, so the path
-also keeps the last one formed, with the support (beta != 0) and the clip
-mask (rows whose propensity is not clipped) of the beta it was formed at:
-the chord idea of the inner dual applied to the outer loop. An outer step
-forms a fresh curvature when none is kept, when the last accepted step was
-halved or moved some coefficient by more than 1e-2, or when the current
-support or clip mask differs from the kept one's. A candidate stepped with
-a kept curvature that would change the support is discarded, and the step
-is redone with a fresh curvature. The LQA penalty term and the gradient
-are always those of the current beta. A kept curvature may certify the
+also keeps the last one formed: the chord idea of the inner dual applied to
+the outer loop. An outer step forms a fresh curvature only when none is
+kept, and an accepted step that was halved or moved some coefficient by
+more than 1e-2 drops the kept one. The beta = 0 fallback drops it too, so
+the cold restart forms its own. The LQA penalty term and the gradient are
+always those of the current beta. A kept curvature may certify the
 stationary stop and the 1e-6 move stop, since both test the current
 gradient.
 """
@@ -328,9 +325,7 @@ class _Path:
     (rescaled) coordinates; None before the first. factor holds the last
     inner Hessian formed on the path, whose inverse every inner solve
     (line-search candidates, outer steps, taus) may step with first.
-    h_el is the last outer curvature n * G' V^{-1} G, or None, and
-    h_support and h_free the support and clip mask of the beta it was
-    formed at.
+    h_el is the kept outer curvature n * G' V^{-1} G, or None.
     """
 
     def __init__(self, data: Dataset, k1, k0, clip: float):
@@ -348,8 +343,6 @@ class _Path:
         self.lam = None
         self.factor = _FactorSlot()
         self.h_el = None
-        self.h_support = None
-        self.h_free = None
 
     def q_eval(self, beta, scad, lam_init=None):
         """(Q, dual state, gmat, slopes) at internal beta.
@@ -368,21 +361,12 @@ class _Path:
             q += self.n * float(np.sum(scad_value(np.abs(beta), scad)))
         return q, state, gm, slopes
 
-    def curvature_holds(self, beta, slopes) -> bool:
-        """Whether the kept curvature was formed at beta's support and clip mask."""
-        return (
-            self.h_el is not None
-            and np.array_equal(self.h_support, beta != 0.0)
-            and np.array_equal(self.h_free, slopes[0] != 0.0)
-        )
-
-    def form_curvature(self, beta, gm, slopes):
-        """Form and keep n * J' V^{-1} J at beta (V as in moments._vinv_jac)."""
+    def form_curvature(self, gm, slopes):
+        """Form and keep n * J' V^{-1} J from one beta's moment rows and
+        slopes (V as in moments._vinv_jac)."""
         jac = _mean_jacobian(self.x, slopes)
         h_el = self.n * (jac.T @ _vinv_jac(gm, jac))
         self.h_el = 0.5 * (h_el + h_el.T)
-        self.h_support = beta != 0.0
-        self.h_free = slopes[0] != 0.0
 
 
 def fit_pel(
@@ -415,8 +399,10 @@ def fit_pel(
         beta = path.beta
     q_cur, state, gm, slopes = path.q_eval(beta, scad, path.lam)
     if not math.isfinite(q_cur):
-        # the fallback starts cold, so its failure does not depend on tau
+        # the fallback starts cold, so its failure does not depend on tau,
+        # and forms its own curvature
         beta = np.zeros(p)
+        path.h_el = None
         q_cur, state, gm, slopes = path.q_eval(beta, scad)
         if not math.isfinite(q_cur):
             raise FitError("inner dual did not converge at the initial point")
@@ -433,47 +419,35 @@ def fit_pel(
         else:
             w_lqa = np.zeros(p)
         grad_m = grad_el + n * w_lqa * beta
-        support = beta != 0.0
-        kept = path.curvature_holds(beta, slopes)
-        while True:
-            if not kept:
-                path.form_curvature(beta, gm, slopes)
-            h_el = path.h_el
-            h_mat = h_el + np.diag(n * w_lqa)
-            h_mat[np.diag_indices_from(h_mat)] += 1e-8 * (1.0 + np.trace(h_el) / p)
-            direction = -_solve_or_lstsq(h_mat, grad_m)
+        if path.h_el is None:
+            path.form_curvature(gm, slopes)
+        h_el = path.h_el
+        h_mat = h_el + np.diag(n * w_lqa)
+        h_mat[np.diag_indices_from(h_mat)] += 1e-8 * (1.0 + np.trace(h_el) / p)
+        direction = -_solve_or_lstsq(h_mat, grad_m)
 
-            # Coordinates held at zero whose proposed move is below the
-            # threshold are pinned there by the rezeroing rule; they cannot
-            # contribute descent, so the stationarity test skips them.
-            pinned = ~support & (np.abs(direction) < zero_tol)
-            decrement = float(-grad_m[~pinned] @ direction[~pinned])
-            # Stationary when the model decrement is tiny. There a rejected
-            # step ends the line search at once: halving could buy only a
-            # decrease below this resolution, at one inner solve per try.
-            stationary = decrement <= 1e-8 * (1.0 + abs(q_cur))
-            step = 1.0
-            accepted = False
-            redo = False
-            cand = beta
-            for _ in range(40):
-                cand = beta + step * direction
-                if zero_tol > 0.0:
-                    cand = np.where(np.abs(cand) < zero_tol, 0.0, cand)
-                # a kept curvature may not move the support: form afresh
-                if kept and not np.array_equal(cand != 0.0, support):
-                    redo = True
-                    break
-                q_cand, st_cand, gm_cand, sl_cand = path.q_eval(cand, scad, lam)
-                if q_cand < q_cur - 1e-12 * (1.0 + abs(q_cur)):
-                    accepted = True
-                    break
-                if stationary:
-                    break
-                step *= 0.5
-            if not redo:
+        # Coordinates held at zero whose proposed move is below the
+        # threshold are pinned there by the rezeroing rule; they cannot
+        # contribute descent, so the stationarity test skips them.
+        pinned = (beta == 0.0) & (np.abs(direction) < zero_tol)
+        decrement = float(-grad_m[~pinned] @ direction[~pinned])
+        # Stationary when the model decrement is tiny. There a rejected
+        # step ends the line search at once: halving could buy only a
+        # decrease below this resolution, at one inner solve per try.
+        stationary = decrement <= 1e-8 * (1.0 + abs(q_cur))
+        step = 1.0
+        accepted = False
+        for _ in range(40):
+            cand = beta + step * direction
+            if zero_tol > 0.0:
+                cand = np.where(np.abs(cand) < zero_tol, 0.0, cand)
+            q_cand, st_cand, gm_cand, sl_cand = path.q_eval(cand, scad, lam)
+            if q_cand < q_cur - 1e-12 * (1.0 + abs(q_cur)):
+                accepted = True
                 break
-            kept = False
+            if stationary:
+                break
+            step *= 0.5
         if not accepted:
             converged = stationary
             break
@@ -511,6 +485,14 @@ def default_tau_grid(n: int, p: int) -> np.ndarray:
     return np.geomspace(_TAU_LO * scale, _TAU_HI * scale, _TAU_NUM)
 
 
+def _check_tau_grid(grid) -> np.ndarray:
+    """grid as a float array, which must be nonempty, finite and positive."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise InputError("tau grid must be nonempty, finite and positive")
+    return grid
+
+
 def select_tau(
     data: Dataset,
     k1: CensorSurvival,
@@ -531,9 +513,7 @@ def select_tau(
     """
     if grid is None:
         grid = default_tau_grid(data.n, data.p)
-    grid = np.sort(np.asarray(grid, dtype=float))[::-1]
-    if grid.size == 0 or not np.all(grid > 0):
-        raise InputError("tau grid must be nonempty and positive")
+    grid = np.sort(_check_tau_grid(grid))[::-1]
     logn = math.log(data.n)
     best = None
     path = _Path(data, k1, k0, clip)

@@ -157,6 +157,16 @@ def test_fit_bad_clip_or_level_fails_before_reading_data(
     assert err_doc["error"]["category"] == "config"
 
 
+@pytest.mark.parametrize("argv", [["--tau", "inf"], ["--tau-grid", "nan"],
+                                  ["--tau-grid", ","]])
+def test_fit_bad_tau_grid_fails_before_reading_data(argv, tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["fit", "--data", str(missing), *argv]) == 2
+    err_doc = json.loads(capsys.readouterr().out)
+    assert err_doc["error"]["category"] == "config"
+    assert "tau grid" in err_doc["error"]["message"]
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["fit"]) == 2
     capsys.readouterr()

@@ -345,8 +345,10 @@ def test_a_one_value_grid_is_the_fixed_tau_fit(toy_data):
     np.testing.assert_array_equal(fit.beta_hat, ref.beta_hat)
     np.testing.assert_array_equal(fit.dual.lam, ref.dual.lam)
     np.testing.assert_array_equal(fit.objective_trace, ref.objective_trace)
-    with pytest.raises(sc.InputError, match="tau grid"):
-        select_tau(toy_data, Untouched(), Untouched(), grid=[math.nan])
+    # checked before the path reads the curves
+    for grid in ([], [math.nan], [math.inf]):
+        with pytest.raises(sc.InputError, match="tau grid"):
+            select_tau(toy_data, Untouched(), Untouched(), grid=grid)
 
 
 @pytest.mark.parametrize("clip", BAD_CLIPS)
@@ -503,10 +505,14 @@ def test_select_tau_wide_inner_hessian_budget(monkeypatch):
     k1 = sc.fit_censoring_km(data, 1)
     k0 = sc.fit_censoring_km(data, 0)
     grams = _count_calls(monkeypatch, "_weighted_gram")
+    curvatures = _count_calls(monkeypatch, "_mean_jacobian")
     tau, fit = select_tau(data, k1, k0)
     # a Newton step to certify every stall took 151; contracting chord
     # steps certify most of them
     assert len(grams) <= 75
+    # also dropping the kept outer curvature at each change of support or
+    # clip mask took 65
+    assert len(curvatures) <= 45
     assert tau == default_tau_grid(data.n, data.p)[7]
     assert fit.active_set.tolist() == [0, 1, 2, 3, 4, 89]
 
@@ -659,18 +665,19 @@ def test_select_tau_keeps_the_outer_curvature(toy_data, monkeypatch):
 
 def _log_outer_events(monkeypatch):
     """Record, in order, each Q evaluation (beta, Q) and each curvature
-    formed on a path (beta)."""
+    formed on a path (the beta whose evaluation gave its moment rows)."""
     events = []
     q_eval, form = _Path.q_eval, _Path.form_curvature
 
     def logged_q(self, beta, *args, **kwargs):
         out = q_eval(self, beta, *args, **kwargs)
-        events.append(("eval", np.array(beta), out[0]))
+        events.append(("eval", np.array(beta), out[0], out[2]))
         return out
 
-    def logged_form(self, beta, *args, **kwargs):
-        events.append(("form", np.array(beta)))
-        return form(self, beta, *args, **kwargs)
+    def logged_form(self, gm, *args, **kwargs):
+        beta = next(e[1] for e in reversed(events) if e[0] == "eval" and e[3] is gm)
+        events.append(("form", beta))
+        return form(self, gm, *args, **kwargs)
 
     monkeypatch.setattr(_Path, "q_eval", logged_q)
     monkeypatch.setattr(_Path, "form_curvature", logged_form)
@@ -728,15 +735,21 @@ def test_a_halved_step_forms_a_fresh_curvature(toy_data, monkeypatch):
     np.testing.assert_array_equal(events[3][1], events[2][1])
 
 
-def test_a_support_changing_candidate_is_redone_fresh(toy_data, monkeypatch):
+def test_the_fallback_forms_a_fresh_curvature(toy_data, monkeypatch):
     path, k1, k0 = _converged_path(toy_data, 0.05)
-    start = path.beta
-    assert np.all(start != 0.0)
+    assert np.all(path.beta != 0.0)
     events = _log_outer_events(monkeypatch)
-    # a huge penalty sends the kept curvature's first candidate to zero
-    fit = fit_pel(toy_data, k1, k0, ScadParams(lam=1e6), _path=path)
-    np.testing.assert_array_equal(fit.beta_hat, np.zeros(toy_data.p))
-    # that candidate is never evaluated: the step is redone with a
-    # curvature formed at the start
-    assert [e[0] for e in events[:3]] == ["eval", "form", "eval"]
-    np.testing.assert_array_equal(events[1][1], start)
+    logged_q = _Path.q_eval
+
+    def fail_at_the_start(self, beta, *args, **kwargs):
+        q, *rest = logged_q(self, beta, *args, **kwargs)
+        return (math.inf if len(events) == 1 else q), *rest
+
+    monkeypatch.setattr(_Path, "q_eval", fail_at_the_start)
+    fit_pel(toy_data, k1, k0, ScadParams(lam=0.05), _path=path)
+    # the failed start, then the cold restart at beta = 0, whose first
+    # candidate is stepped with a curvature formed there, not the kept one
+    assert [e[0] for e in events[:4]] == ["eval", "eval", "form", "eval"]
+    zero = np.zeros(toy_data.p)
+    np.testing.assert_array_equal(events[1][1], zero)
+    np.testing.assert_array_equal(events[2][1], zero)
