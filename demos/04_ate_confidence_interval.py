@@ -10,7 +10,7 @@ import survcbps as sc
 cfg = sc.SimConfig(n=500, p=10, beta_nonzero=3, replications=1, seed=11,
                    estimators=("proposed",))
 data, truth = sc.generate_dataset(cfg, 0)
-target, mc_se = sc.true_ate(cfg)
+target = sc.true_ate(cfg)  # exact: lambda0 Gamma(1 + 1/k) (exp(g' S g / 2) - 1)
 
 k1 = sc.fit_censoring_km(data, 1)
 k0 = sc.fit_censoring_km(data, 0)

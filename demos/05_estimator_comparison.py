@@ -24,7 +24,7 @@ cfg = sc.SimConfig(
 
 report = sc.run_study(cfg, workers=1)
 
-print(f"true ATE {report.true_ate:.4f} (mc se {report.true_ate_mc_se:.1e})")
+print(f"true ATE {report.true_ate:.4f} (exact, no Monte Carlo error)")
 print()
 print(report.render_table())
 print()

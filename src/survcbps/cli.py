@@ -16,9 +16,9 @@ failures, 4 for degenerate data (an arm empty or without uncensored records).
 A non-converged fit or more than 5% failed replications also exits 3.
 
 ``fit`` makes one ``select_tau`` call: ``--tau X`` is the one-value grid
-[X], so it writes the same JSON as ``--tau-grid X``. The clip bound, the
-censoring floor, the level, the tau grid and the ``--out`` target are
-checked before the data are read.
+[X], so it writes the same JSON as ``--tau-grid X``; giving both is a config
+error. The clip bound, the censoring floor, the level, the tau grid and the
+``--out`` target are checked before the data are read.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True, help="input CSV path")
     fit.add_argument("--tau", type=float, default=None,
                      help="fixed penalty level, the same as a one-value grid")
-    fit.add_argument("--tau-grid", default="auto",
-                     help="'auto' or a comma-separated list of levels")
+    fit.add_argument("--tau-grid", default=None,
+                     help="'auto' (default) or a comma-separated list of levels")
     fit.add_argument("--level", type=float, default=0.95)
     fit.add_argument("--out", default=None, help="output JSON path (default stdout)")
     fit.add_argument("--clip", type=float, default=0.01)
@@ -166,8 +166,11 @@ def _emit(doc: dict, out_path) -> None:
 def _tau_grid(args):
     """The select_tau grid of --tau / --tau-grid; None for 'auto'."""
     if args.tau is not None:
+        if args.tau_grid is not None:
+            raise ConfigError("--tau fixes a one-value tau grid; give --tau "
+                              "or --tau-grid, not both")
         return [args.tau]
-    if args.tau_grid == "auto":
+    if args.tau_grid in (None, "auto"):
         return None
     try:
         return [float(s) for s in args.tau_grid.split(",") if s.strip()]

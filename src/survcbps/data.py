@@ -8,11 +8,11 @@ covariates ``x``. Columns are kept as numpy arrays.
 A CSV file's header names ``y``, ``delta``, ``d`` and ``x1..xp``, in any order.
 A cell is a number when ``float`` reads it stripped, unless it holds ``_`` or a
 non-ASCII character; nan and inf are rejected. A leading UTF-8 byte-order mark
-is dropped. ``parse_csv`` hands the open file, past its header, to one
-``np.loadtxt`` call, which reads it a line at a time; a first pass over the
-file in fixed-size blocks counts its lines, so a blank line, which loadtxt
-skips, is caught. A cell-by-cell scan names the first bad cell. No copy of the
-whole file's text is made: reading a (2000, 100) file peaks at about twice
+is dropped. ``parse_csv`` hands the lines of the open file, past its header,
+to one ``np.loadtxt`` call, which reads them one at a time, and counts them as
+they are read, so a blank line, which loadtxt skips, is caught. A
+cell-by-cell scan names the first bad cell. The file is read once and no copy
+of its whole text is made: reading a (2000, 100) file peaks at about twice
 the arrays it returns.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -28,8 +29,6 @@ import numpy as np
 from .errors import DegenerateArmError, InputError, RowParseError, SchemaError
 
 _CORE = ("y", "delta", "d")
-# characters per read of the pass that counts a file's lines
-_READ_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -166,27 +165,27 @@ def _column_names(header) -> tuple:
     return (*_CORE, *covariates)
 
 
-def _count_lines(fh) -> int:
-    """The number of lines left in text handle ``fh``, read in blocks; 0 when
-    all that is left is whitespace. A last line without a newline counts."""
-    lines, last, blank = 0, "\n", True
-    while block := fh.read(_READ_CHARS):
-        lines += block.count("\n")
-        last = block[-1]
-        blank = blank and not block.strip()
-    return 0 if blank else lines + (last != "\n")
-
-
-def _load(fh, lines, width, cols):
-    """The ``lines`` lines left in ``fh`` as rows of their ``cols`` cells,
-    read by np.loadtxt.
+def _load(fh, width, cols):
+    """The lines left in ``fh`` as rows of their ``cols`` cells, read by
+    np.loadtxt.
 
     None when loadtxt fails, a line gives no row (blank, or in a quoted cell)
     or a value breaks a rule.
     """
+    lines = 0
+
+    def counted():
+        nonlocal lines
+        for line in fh:
+            lines += 1
+            yield line
+
     try:
-        values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                            ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt warns on input without data, which _scan then reads
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(counted(), delimiter=",", comments=None,
+                                quotechar='"', ndmin=2)
     except ValueError:
         return None
     if values.shape != (lines, width):
@@ -239,14 +238,9 @@ def parse_csv(path) -> Dataset:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             header = _header(fh)
-            lines = _count_lines(fh)
             names = _column_names(header)
             cols = [header.index(name) for name in names]
-            values = None
-            if lines:  # loadtxt warns on input without data
-                fh.seek(0)
-                _header(fh)
-                values = _load(fh, lines, len(header), cols)
+            values = _load(fh, len(header), cols)
         if values is None:
             values = _scan(path, len(header), cols, names)
     except UnicodeDecodeError:

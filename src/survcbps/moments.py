@@ -145,8 +145,8 @@ def _weighted_gram(x, w):
 # A block of bootstrap resamples is processed at once. Its (block x n) arrays
 # and its (block x q x q) Hessian stack each hold at most about this many
 # floats, and a design stacks its row products only when n q is this or less.
-# The simulation's pilot and truth draw their covariates and Weibull factors
-# in blocks of about this many floats.
+# The simulation's censoring-rate pilot draws its covariates in row blocks
+# of about this many floats.
 _BLOCK_FLOATS = 1 << 16
 
 

@@ -63,7 +63,10 @@ BAD_WORKERS = [0, -3]
 
 
 def small_dump() -> dict:
-    """The dump.json document of a hand-built one-replication report."""
+    """The dump.json document of a hand-built one-replication report.
+
+    Its truth carries a nonzero MC SE, as a dump of a Monte Carlo truth did.
+    """
     config = sc.SimConfig(n=60, p=5, replications=1, estimators=("naive_ipw",))
     row = sc.simulation.EstimatorRow("naive_ipw", 0.1, 0.2, 100.0, 0, 3.0)
     rep = sc.simulation.RepRecord(0, "naive_ipw", 1.1, 0.6, 1.6, 0.25, 3.0)
@@ -117,7 +120,7 @@ def p10_study():
         n=500, p=10, beta_nonzero=3, replications=200, seed=2026,
         estimators=("proposed",),
     )
-    ta, mc = sc.true_ate(cfg)
+    ta = sc.true_ate(cfg)
     ates, ses, covered = [], [], []
     b1, b1_se = [], []
     n_fail = 0
@@ -144,7 +147,6 @@ def p10_study():
     return {
         "config": cfg,
         "true_ate": ta,
-        "true_ate_mc_se": mc,
         "ate": np.asarray(ates),
         "se": np.asarray(ses),
         "covered": np.asarray(covered, dtype=bool),

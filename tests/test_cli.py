@@ -158,7 +158,9 @@ def test_fit_bad_clip_or_level_fails_before_reading_data(
 
 
 @pytest.mark.parametrize("argv", [["--tau", "inf"], ["--tau-grid", "nan"],
-                                  ["--tau-grid", ","]])
+                                  ["--tau-grid", ","],
+                                  ["--tau", "0.1", "--tau-grid", "0.2"],
+                                  ["--tau", "0.1", "--tau-grid", "auto"]])
 def test_fit_bad_tau_grid_fails_before_reading_data(argv, tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert main(["fit", "--data", str(missing), *argv]) == 2
@@ -221,6 +223,21 @@ def test_simulate_bad_config(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--gamma-magnitude", "20"],
+                                  ["--weibull-k", "0.005"]])
+def test_simulate_non_finite_truth_is_a_config_error(
+    argv, tmp_path, capsys, monkeypatch
+):
+    def never(task):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(sc.simulation, "_run_rep", never)
+    assert main(["simulate", *argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err_doc = json.loads(capsys.readouterr().out)
+    assert err_doc["error"]["category"] == "config"
+    assert "true ATE is not a finite float" in err_doc["error"]["message"]
 
 
 # a valid, non-default text value for every SimConfig field

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
 
 import survcbps as sc
 from survcbps import simulation
@@ -158,8 +157,10 @@ def one_shot_pilot_times(config):
 
 
 def one_shot_true_ate(config):
-    """The truth as first written: every 1M-draw temporary held at once."""
-    rng = _stream(config, simulation._STREAM_TRUTH)
+    """A 1M-draw Monte Carlo reference for the truth, with its MC SE: the
+    mean of lambda0 (exp(X' gamma) w1 - w0), X' gamma drawn as the scalar
+    N(0, gamma' S gamma)."""
+    rng = _stream(config, 3)  # a tag no package stream takes
     gamma = build_gamma(config)
     var_g = float(gamma @ covariance_matrix(config) @ gamma)
     ndraw = 1_000_000
@@ -171,12 +172,10 @@ def one_shot_true_ate(config):
 
 
 def assert_matches_one_shot(config, monkeypatch):
-    """The censoring rate and the truth equal the one-shot draws' in float.hex."""
+    """The censoring rate equals the one-shot pilot's in float.hex."""
     rate = _censor_rate.__wrapped__(config)
-    truth = true_ate.__wrapped__(config)
     monkeypatch.setattr(simulation, "_pilot_times", one_shot_pilot_times)
     assert rate.hex() == _censor_rate.__wrapped__(config).hex()
-    assert [v.hex() for v in truth] == [v.hex() for v in one_shot_true_ate(config)]
 
 
 @pytest.mark.parametrize("target", [0.3, 0.5])
@@ -212,26 +211,31 @@ def test_pilot_memory_does_not_grow_with_p():
     assert _traced_peak(lambda: _pilot_times(config)) <= 16 * 2**20
 
 
-def test_true_ate_memory_is_one_draw_array_and_blocks():
-    """The 1M-draw temporaries took 43 MB."""
-    config = SimConfig()
-    assert _traced_peak(lambda: true_ate.__wrapped__(config)) <= 24 * 2**20
-
 def test_true_ate_matches_lognormal_closed_form():
-    """Monte Carlo truth vs the exact mean difference of the two arms.
+    """The exact truth lambda0 Gamma(1 + 1/k) (exp(g' S g / 2) - 1) lies
+    within 3 MC SEs of the 1M-draw reference, under identity and AR
+    covariance."""
+    for cfg in (SimConfig(),
+                SimConfig(n=100, p=8, beta_nonzero=3, gamma_nonzero=4,
+                          gamma_magnitude=0.25, covariance="ar", seed=14)):
+        exact = true_ate(cfg)
+        est, mc_se = one_shot_true_ate(cfg)
+        assert type(exact) is float
+        assert abs(exact - est) <= 3.0 * mc_se
+        assert mc_se < 0.02
 
-    E T1 - E T0 = lambda0 * Gamma(1 + 1/k) * (exp(g' S g / 2) - 1) because
-    X' gamma is N(0, g' S g) and the Weibull factor is independent of X.
-    """
-    cfg = SimConfig(n=100, p=8, beta_nonzero=3, gamma_nonzero=4,
-                    gamma_magnitude=0.25, covariance="ar", seed=14)
-    est, mc_se = true_ate(cfg)
-    var = float(build_gamma(cfg) @ covariance_matrix(cfg) @ build_gamma(cfg))
-    exact = cfg.lambda0 * gamma_fn(1.0 + 1.0 / cfg.weibull_k) * (
-        math.exp(var / 2.0) - 1.0
-    )
-    assert abs(est - exact) <= 3.0 * mc_se
-    assert mc_se < 0.02
+
+@pytest.mark.parametrize("design", [{"gamma_magnitude": 20.0},
+                                    {"weibull_k": 0.005}],
+                         ids=["gamma20", "k0.005"])
+def test_non_finite_truth_is_a_config_error_before_any_replication(
+        design, monkeypatch):
+    def never(task):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(simulation, "_run_rep", never)
+    with pytest.raises(sc.ConfigError, match="true ATE is not a finite float"):
+        run_study(SimConfig(**design))
 
 
 def test_generate_dataset_deterministic_per_rep():
@@ -249,9 +253,8 @@ def test_sample_ate_tracks_population_truth():
     cfg = SimConfig(n=20000, p=4, beta_nonzero=2, gamma_nonzero=2,
                     replications=1, seed=4)
     _, truth = generate_dataset(cfg, 0)
-    est, mc_se = true_ate(cfg)
     # a 20k-subject sample mean should sit a few SEs from the truth
-    assert abs(truth.sample_ate - est) < 0.1
+    assert abs(truth.sample_ate - true_ate(cfg)) < 0.1
 
 
 def _tiny_config(**kwargs):
@@ -267,6 +270,8 @@ def test_run_study_shape_and_order():
     report = run_study(_tiny_config())
     assert [row.estimator for row in report.rows] == ["proposed", "naive_ipw"]
     assert len(report.replications) == 6
+    assert report.true_ate == true_ate(_tiny_config())
+    assert report.true_ate_mc_se == 0.0
     for row in report.rows:
         assert np.isfinite(row.bias)
         assert row.n_fail == 0

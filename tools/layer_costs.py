@@ -6,15 +6,14 @@
 For each n x p size and replication k, draws `SimConfig(n, p, seed)`
 replication k, fits both censoring curves, and times `select_tau` and
 `ate_with_ci` (the fastest of --passes passes is kept). It counts the
-inner dual calls and their Newton plus chord steps by wrapping
-`solver.solve_inner_dual`, the inner Hessians by wrapping
-`solver._weighted_gram`, which only the inner dual calls, the outer
-curvature builds by wrapping `solver._mean_jacobian`, which only the
-curvature build calls, and the outer steps by wrapping `solver.fit_pel`
-and summing its outer_iterations. A failing path is
-reported with its error and time. --src picks the package tree, so two
-checkouts can be compared on one machine; BLAS runs on one thread. Prints
-one JSON document.
+inner dual calls, their Newton plus chord steps and their Hessians by
+wrapping `solver.solve_inner_dual` and summing the returned state's
+iterations and hessians, the outer curvature builds by wrapping
+`solver._mean_jacobian`, which only the curvature build calls, and the
+outer steps by wrapping `solver.fit_pel` and summing its
+outer_iterations. A failing path is reported with its error and time.
+--src picks the package tree, so two checkouts can be compared on one
+machine; BLAS runs on one thread. Prints one JSON document.
 """
 
 import os
@@ -34,17 +33,14 @@ ROOT = Path(__file__).resolve().parent.parent
 def wrap_counts(solver, counts):
     """Replace the solver's call-time names by counting wrappers; returns
     the function that puts the originals back."""
-    names = ("_weighted_gram", "solve_inner_dual", "_mean_jacobian", "fit_pel")
+    names = ("solve_inner_dual", "_mean_jacobian", "fit_pel")
     real = {name: getattr(solver, name) for name in names}
-
-    def hessian(*args):
-        counts["hessians"] += 1
-        return real["_weighted_gram"](*args)
 
     def dual(*args, **kwargs):
         state = real["solve_inner_dual"](*args, **kwargs)
         counts["inner_calls"] += 1
         counts["steps"] += state.iterations
+        counts["hessians"] += state.hessians
         return state
 
     def curvature(*args):
@@ -56,7 +52,7 @@ def wrap_counts(solver, counts):
         counts["outer_steps"] += result.outer_iterations
         return result
 
-    for name, wrapper in zip(names, (hessian, dual, curvature, fit)):
+    for name, wrapper in zip(names, (dual, curvature, fit)):
         setattr(solver, name, wrapper)
 
     def restore():
