@@ -26,20 +26,27 @@ checks the clip bound and the level before any work, and ends, as
 ``ate_with_ci`` does, with ``inference._ate_result``, which forms the
 interval, the medians and the Kish sizes. The
 full-sample estimate is that step on one row of counts, all ones, with the
-propensity from the same Newton logistic fit (``moments._logistic_mle``)
-that the solver's path start and every resample use.
+propensity from the same chord-Newton logistic fit
+(``moments._logistic_mle``) that the solver's path start and every resample
+use.
 
 The bootstrap works on counts. Resample b draws its n row indices with one
 ``integers(0, n, n)`` call, exactly as drawing rows would, and is kept as a
-row of counts: how often each row of the y-sorted data was drawn. Blocks of
-such rows go through count-weighted kernels together: the per-arm
-product-limit curves (``censoring._product_limit``), Newton logistic fits
-from beta = 0 that each stop at their own tolerance, and count-weighted
-point steps. The counts are exact integers, so the censoring curves equal
-those fitted to resampled copies, and everything else agrees with refitting
-each copy up to the order of floating-point sums. A block holds
+row of counts: how often each row of the data, sorted by arm and then by y,
+was drawn. Blocks of such rows go through count-weighted kernels together:
+the per-arm product-limit curves (``censoring._product_limit``, over each
+arm's ``_CensorGrid``, built once per bootstrap), logistic fits and
+count-weighted point steps. The logistic fits start at the full-sample
+coefficients when that fit is clean, and each stops at its own tolerance.
+The full-sample fit lies O(1/sqrt(n)) from each resample's, so a fit
+mostly takes one shared-Hessian step, one fresh Newton step and chord
+steps. A fit that is not clean from there is refitted from beta = 0, as
+the per-resample fit would be, before the ridge-1e-2 refit. The counts are
+exact integers, so the censoring curves equal those fitted to resampled
+copies, and everything else agrees with refitting each copy up to the
+order of floating-point sums. A block holds
 ``max(1, 2**16 // max(n, q**2))`` resamples (q = p + 1), so each of its
-(block x n) arrays and its (block x q x q) Hessian stack holds about 2**16
+(block x n) arrays and its (block x q x q) Hessian stacks holds about 2**16
 floats. The bootstrap's ``_Design`` forms its n x q(q + 1)/2 stack of
 upper-triangle row products at the first block of more than one resample
 (when n q <= 2**16); the full-sample design only ever sees one row and
@@ -53,7 +60,7 @@ import warnings as _warnings
 
 import numpy as np
 
-from .censoring import CensorSurvival, _product_limit
+from .censoring import CensorSurvival, _CensorGrid, _product_limit
 from .data import Dataset
 from .errors import DegenerateArmError, InputError
 from .inference import ATEResult, _ate_result, _z_value, ate_with_ci
@@ -64,13 +71,19 @@ from .moments import (
 from .solver import fit_pel
 
 
-def _propensity(design, d, counts, clip):
-    """Clipped logistic propensities and ``clean`` flags, one row per row of counts."""
-    beta, clean = _logistic_mle(design, d, counts)
+def _propensity(design, d, counts, clip, start=None):
+    """Clipped logistic propensities, ``clean`` flags and coefficients, one
+    row per row of counts; the fits start at ``start`` (default beta = 0)."""
+    beta, clean = _logistic_mle(design, d, counts, start=start)
+    if start is not None and not clean.all():
+        # undamped steps from the start can diverge where those from 0 do not
+        retry = np.flatnonzero(~clean)
+        beta[retry], clean[retry] = _logistic_mle(design, d, counts[retry])
     if not clean.all():
         # likely separation; refit with a stronger ridge
         beta[~clean] = _logistic_mle(design, d, counts[~clean], ridge=1e-2)[0]
-    return np.clip(expit(beta @ design.x.T), clip, 1.0 - clip), clean
+    pi = expit(beta @ design.x.T)
+    return np.clip(pi, clip, 1.0 - clip, out=pi), clean, beta
 
 
 def _ipw_means(c, y, delta, d, design, pi, kdy):
@@ -109,64 +122,73 @@ def _outcome_coef(design, ca, ytil):
 
 
 def _aipw_means(c, y, delta, d, design, pi, kdy):
-    """Count-weighted AIPW means; ``ok`` is False where an arm has < 2 rows."""
+    """Count-weighted AIPW means; ``ok`` is False where an arm has < 2 rows.
+
+    With a = c D / pi, the treated mean sum c (m + D (ytil - m) / pi) / n of
+    the fitted m = x coef is ((c - a) x coef + a ytil) / n, so m is never
+    formed; the control mean likewise.
+    """
     ytil = delta * y / kdy
     n1 = c @ d
     ok = (n1 >= 2) & (c.sum(axis=1) - n1 >= 2)
-    c, ytil, pi = c[ok], ytil[ok], pi[ok]
-    x = design.x
-    m1, m0 = (
-        _outcome_coef(design, ca, ytil) @ x.T for ca in (c * d, c * (1.0 - d))
-    )
-    n = y.shape[0]
-    mu1 = (c * (m1 + d * (ytil - m1) / pi)).sum(axis=1) / n
-    mu0 = (c * (m0 + (1.0 - d) * (ytil - m0) / (1.0 - pi))).sum(axis=1) / n
-    return mu1, mu0, ok
+    if not ok.all():
+        c, ytil, pi = c[ok], ytil[ok], pi[ok]
+    mus = []
+    for arm, prob in ((d, pi), (1.0 - d, 1.0 - pi)):
+        a = c * arm
+        coef = _outcome_coef(design, a, ytil)
+        a /= prob
+        fitted = np.einsum("bq,bq->b", (c - a) @ design.x, coef)
+        mus.append((fitted + np.einsum("bn,bn->b", a, ytil)) / y.shape[0])
+    return mus[0], mus[1], ok
 
 
-def _bootstrap(data, y, delta, d, point_fn, *, clip, floors, n_boot, stream,
-               notes):
+def _bootstrap(data, y, delta, d, point_fn, *, clip, floors, start, n_boot,
+               stream, notes):
     """Bootstrap SE, refitting censoring and propensity per resample.
 
     Resample b is drawn from ``SeedSequence(stream)``, one ``integers(0, n, n)``
-    call each, and becomes a row of counts over the y-sorted data; blocks of
-    rows go through the count kernels together. ``floors[arm]`` is each arm's
-    curve floor. ``point_fn(c, y, delta, d, design, pi, kdy)`` returns
+    call each, and becomes a row of counts over the data sorted by arm and
+    then by y, so each arm's rows are one slice; blocks of rows go through
+    the count kernels together. ``floors[arm]`` is each arm's curve floor,
+    and ``start`` the coefficients every logistic refit starts from (None
+    for beta = 0). ``point_fn(c, y, delta, d, design, pi, kdy)`` returns
     ``(mu1, mu0, ok)``, the means for the rows it accepts. Degenerate
     resamples are skipped and counted in ``notes``; fewer than 20 usable ones
     give NaN.
     """
     n = data.n
-    order = np.argsort(y, kind="stable")
+    order = np.lexsort((y, d))
     y, delta, d = y[order], delta[order], d[order]
     design = _Design(np.column_stack((np.ones(n), data.x[order])))
     arms = []
-    for arm in (0, 1):
-        rows = np.flatnonzero(d == arm)
-        censored = delta[rows] == 0
+    n0 = n - int(d.sum())
+    for rows, floor in ((slice(0, n0), floors[0]), (slice(n0, n), floors[1])):
+        grid = _CensorGrid(y[rows], delta[rows] == 0)
         # each row's left limit sits after the censoring times below its y
-        slot = np.searchsorted(np.unique(y[rows][censored]), y[rows])
-        arms.append((rows, y[rows], censored, slot, floors[arm]))
+        arms.append((rows, grid, np.searchsorted(grid.times, y[rows]), floor))
 
     def replicates(counts):
         n1 = counts @ d
-        counts = counts[(n1 > 0) & (n1 < n)]
+        both = (n1 > 0) & (n1 < n)
+        if not both.all():
+            counts = counts[both]
         kdy = np.empty(counts.shape)
-        for rows, y_arm, censored, slot, floor in arms:
-            left = _product_limit(y_arm, censored, counts[:, rows], floor)[2]
+        for rows, grid, slot, floor in arms:
+            left = _product_limit(grid, counts[:, rows], floor)[1]
             kdy[:, rows] = left[:, slot]
-        pi = _propensity(design, d, counts, clip)[0]
+        pi = _propensity(design, d, counts, clip, start)[0]
         mu1, mu0, _ = point_fn(counts, y, delta, d, design, pi, kdy)
         return mu1 - mu0
 
     block = max(1, _BLOCK_FLOATS // max(n, design.x.shape[1] ** 2))
     rng = np.random.default_rng(np.random.SeedSequence(stream))
     boots = []
-    for start in range(0, n_boot, block):
-        counts = np.empty((min(block, n_boot - start), n))
+    for first in range(0, n_boot, block):
+        counts = np.empty((min(block, n_boot - first), n))
         for row in counts:
-            row[:] = np.bincount(rng.integers(0, n, n), minlength=n)
-        boots.append(replicates(counts[:, order]))
+            row[:] = np.bincount(rng.integers(0, n, n), minlength=n)[order]
+        boots.append(replicates(counts))
     boots = np.concatenate(boots)
     failures = n_boot - boots.size
     if failures:
@@ -202,7 +224,7 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
     kdy = _own_arm_k(data, k1, k0)
     design = _Design(np.column_stack((np.ones(data.n), data.x)))
     ones = np.ones((1, data.n))
-    pi, clean = _propensity(design, d, ones, clip)
+    pi, clean, beta = _propensity(design, d, ones, clip)
     if not clean[0]:
         notes.append("separation detected; propensity refit with ridge 1e-2")
     with _warnings.catch_warnings(record=True) as caught:
@@ -215,7 +237,8 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
         _warnings.simplefilter("ignore")
         se = _bootstrap(
             data, y, delta, d, point_fn, clip=clip, floors=(k0.floor, k1.floor),
-            n_boot=n_boot, stream=stream, notes=notes,
+            start=beta[0] if clean[0] else None, n_boot=n_boot, stream=stream,
+            notes=notes,
         )
     w1, w0 = _ipcw_weights(delta, d, pi[0], kdy)
     return _ate_result(y, w1, w0, float(mu1[0]), float(mu0[0]), se, level, notes)

@@ -9,15 +9,17 @@ happen first, so a ``delta == 1`` subject at time t is not at risk for a
 censoring event at t.
 
 ``_product_limit`` is the one implementation: one sort, then O(n) per curve.
-It takes rows sorted by time and a row of integer counts per curve (how many
-times each row enters it, 0 for rows outside the arm). Running sums of the
-counts give, at each censoring time t, the censoring events at t and the
-count with y > t; the risk set is that count plus the events. A censoring
-time without events in a curve contributes a factor of exactly 1.0. Every
-count is an exact integer, so the values equal those formed by scanning
-repeated rows once per event time. ``CensorSurvival.fit`` is the one-curve
-case with every count 1; the bootstrap baselines pass a block of resample
-counts.
+It takes a ``_CensorGrid`` of rows sorted by time (the censoring times, the
+last row at or before each and the censored rows grouped by tied time) and
+a row of integer counts per curve (how many times each row enters it, 0 for
+rows outside the arm). A running sum of the counts gives, at each censoring
+time t, the count with y > t, and one sum per tie group of the censored
+rows' counts the censoring events at t; the risk set is that count plus the
+events. A censoring time without events in a curve contributes a factor of
+exactly 1.0. Every count is an exact integer, so the values equal those
+formed by scanning repeated rows once per event time. ``CensorSurvival.fit``
+is the one-curve case with every count 1; the bootstrap baselines build each
+arm's grid once and pass it a block of resample counts at a time.
 
 Curves are evaluated with the left limit K(u) = prod_{t_k < u} (1 - d_k/n_k)
 (strict inequality) and clamped below at a configurable floor so that
@@ -85,10 +87,9 @@ class CensorSurvival:
         if not np.all(np.isin(delta, (0, 1))):
             raise InputError("delta must contain only 0 or 1")
         order = np.argsort(y)
-        times, _, left = _product_limit(
-            y[order], delta[order] == 0, np.ones((1, y.size), dtype=np.int64), floor
-        )
-        return cls(times=times, values=left[0, 1:], floor=floor)
+        grid = _CensorGrid(y[order], delta[order] == 0)
+        left = _product_limit(grid, np.ones((1, y.size), dtype=np.int64), floor)[1]
+        return cls(times=grid.times, values=left[0, 1:], floor=floor)
 
     def evaluate(self, u):
         """K at u (scalar or array), using the left limit at jump times."""
@@ -103,31 +104,47 @@ class CensorSurvival:
         return out
 
 
-def _product_limit(y, censored, counts, floor):
+class _CensorGrid:
+    """Where the censoring times of one arm's rows sit among them.
+
+    Built from the rows' times ``y`` in nondecreasing order and the mask
+    ``censored`` of the censoring events. ``times`` holds the m distinct
+    censoring times, ``last[j]`` the last row with y <= times[j],
+    ``censored_rows`` the censored rows in order and ``ties[j]`` the first
+    of them at times[j]. The grid depends on the rows only, so one grid
+    serves every curve over them.
+    """
+
+    __slots__ = ("times", "last", "censored_rows", "ties")
+
+    def __init__(self, y, censored):
+        self.censored_rows = np.flatnonzero(censored)
+        self.times, self.ties = np.unique(y[self.censored_rows], return_index=True)
+        self.last = np.searchsorted(y, self.times, side="right") - 1
+
+
+def _product_limit(grid, counts, floor):
     """Censoring product-limit curves of one arm, one per row of ``counts``.
 
-    ``y`` holds the rows' times in nondecreasing order, ``censored`` marks the
-    censoring events among them, and ``counts[b, i]`` (whole numbers, int or
-    float) is how often row i enters curve b. Returns ``(times, events, left)``:
-    the m distinct censoring times of the rows, the (B, m) event counts at
-    each, and the (B, m + 1) clamped curves, where ``left[:, j]`` is the left
-    limit at ``times[j]`` and ``left[:, j + 1]`` the value just after it.
-    A time whose count is 0 in curve b contributes a factor of exactly 1.0.
+    ``grid`` is the arm's ``_CensorGrid``, and ``counts[b, i]`` (whole
+    numbers, int or float) is how often row i enters curve b. Returns
+    ``(events, left)``: the (B, m) event counts at ``grid.times``, and the
+    (B, m + 1) clamped curves, where ``left[:, j]`` is the left limit at
+    ``times[j]`` and ``left[:, j + 1]`` the value just after it. A time
+    whose count is 0 in curve b contributes a factor of exactly 1.0.
     """
-    times = np.unique(y[censored])
-    last = np.searchsorted(y, times, side="right") - 1
-    upto = np.cumsum(counts, axis=1)[:, last]
-    # No censored row lies between consecutive censoring times.
-    events = np.diff(np.cumsum(counts * censored, axis=1)[:, last], axis=1, prepend=0)
+    upto = np.cumsum(counts, axis=1)
     # Risk set = {y > t} plus the censoring events at t, outcome events at t
     # having already left.
-    beyond = np.sum(counts, axis=1, keepdims=True) - upto
+    beyond = upto[:, -1:] - upto[:, grid.last]
+    del upto
+    events = np.add.reduceat(counts[:, grid.censored_rows], grid.ties, axis=1)
     hazard = np.divide(
         events, beyond + events, out=np.zeros(events.shape), where=events > 0
     )
-    left = np.ones((counts.shape[0], times.size + 1))
+    left = np.ones((counts.shape[0], grid.times.size + 1))
     left[:, 1:] = np.maximum(np.cumprod(1.0 - hazard, axis=1), floor)
-    return times, events, left
+    return events, left
 
 
 def fit_censoring_km(data: Dataset, group: int, floor: float = 0.05) -> CensorSurvival:

@@ -22,13 +22,14 @@ and the slopes in x' beta to the solver, ``stack_g``, ``jacobian_g`` and
 No intercept column is added implicitly; callers who want one must include
 a constant covariate.
 
-The module also holds the one Newton logistic fit, ``_logistic_mle``: one
-fit per row of counts over a ``_Design``. The solver's path start and the
-baselines' full-sample propensity are its one-row case; the bootstrap runs
-it on blocks of resamples. A design forms its stack of upper-triangle row
-products lazily, at its first Gram of more than one row, so a one-row fit
-never does. Every logistic curve in the package is ``expit``, computed in
-place with numpy.
+The module also holds the one logistic fit, ``_logistic_mle``: one
+chord-Newton fit per row of counts over a ``_Design``, all from one shared
+starting vector. The solver's path start and the baselines' full-sample
+propensity are its one-row case from beta = 0; the bootstrap runs it on
+blocks of resamples from the full-sample fit. A design forms its stack of
+upper-triangle row products lazily, at its first Gram of more than one row,
+so a one-row fit never does. Every logistic curve in the package is
+``expit``, computed in place with numpy.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from .censoring import CensorSurvival
 from .data import Dataset
 from .errors import InputError
 
-_LOGIT_MAX_ITER = 100    # Newton steps of a logistic fit
+_LOGIT_MAX_ITER = 100    # Newton and chord steps of a logistic fit
 _LOGIT_TOL = 1e-10       # a logistic fit stops once max |step| is this small
+_CHORD_RATIO = 0.1       # a step this much shorter than the last keeps the Hessian
 
 
 def expit(z):
@@ -143,7 +145,7 @@ def _weighted_gram(x, w):
 
 
 # A block of bootstrap resamples is processed at once. Its (block x n) arrays
-# and its (block x q x q) Hessian stack each hold at most about this many
+# and its (block x q x q) Hessian stacks each hold at most about this many
 # floats, and a design stacks its row products only when n q is this or less.
 # The simulation's censoring-rate pilot draws its covariates in row blocks
 # of about this many floats.
@@ -208,34 +210,95 @@ def _solve_or_lstsq(a, b):
         return _lstsq(a, b)
 
 
-def _logistic_mle(design, d, counts, ridge=1e-6):
-    """Logistic regression by Newton iteration from beta = 0, one fit per row of counts.
+def _inverse(a):
+    """The inverse of each matrix of a stack; pseudo-inverses if one is singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(a)
 
-    ``counts[b, i]`` is how often row i of ``design.x`` enters fit b. Each fit
-    is frozen after its own first step with max |step| <= _LOGIT_TOL, within
-    _LOGIT_MAX_ITER steps. ``clean[b]`` says fit b converged to a finite beta
-    with |x beta| <= 30 on every row it counts.
+
+def _logistic_mle(design, d, counts, ridge=1e-6, start=None):
+    """Logistic regression by chord-Newton iteration from ``start`` (default
+    beta = 0), one fit per row of counts.
+
+    ``counts[b, i]`` is how often row i of ``design.x`` enters fit b. Every
+    fit takes its first step at ``start``, where one vector of probabilities
+    serves all rows, with the Hessian of the rows' mean counts: one product
+    gives every gradient and one Hessian serves every step. The second step
+    of each fit forms its own Hessian. A step at most _CHORD_RATIO times the
+    one before it lets the next step reuse the fit's last Hessian through
+    its inverse, formed once; any other step is followed by a fresh Hessian.
+    Each fit is frozen after its own first step with max |step| <=
+    _LOGIT_TOL, within _LOGIT_MAX_ITER steps. ``clean[b]`` says fit b
+    converged to a finite beta with |x beta| <= 30 on every row it counts.
     """
     x = design.x
     nb, q = counts.shape[0], x.shape[1]
-    beta = np.zeros((nb, q))
-    converged = np.zeros(nb, dtype=bool)
-    live = np.arange(nb)
+    if not nb:
+        return np.empty((0, q)), np.empty(0, dtype=bool)
     diag = np.arange(q)
-    for _ in range(_LOGIT_MAX_ITER):
-        c, b = counts[live], beta[live]
-        prob = expit(b @ x.T)
-        grad = (c * (d - prob)) @ x - ridge * b
-        hess = design.gram(c * (prob * (1.0 - prob) + 1e-12))
-        hess[:, diag, diag] += ridge + 1e-12
-        step = _solve(hess, grad, _lstsq)
-        beta[live] = b + step
-        done = np.max(np.abs(step), axis=1) <= _LOGIT_TOL
-        converged[live[done]] = True
-        live = live[~done]
+    start = np.zeros(q) if start is None else start
+    prob = expit(x @ start)
+    grad = counts @ ((d - prob)[:, None] * x) - ridge * start
+    hess = design.gram((counts.mean(axis=0) * (prob * (1.0 - prob) + 1e-12))[None])[0]
+    hess[diag, diag] += ridge + 1e-12
+    step = _solve_or_lstsq(hess, grad.T).T
+    beta = start + step
+    size = np.max(np.abs(step), axis=1)
+    converged = size <= _LOGIT_TOL
+    chord = np.zeros(nb, dtype=bool)        # the next step reuses the kept Hessian
+    kept = np.empty((nb, q, q))             # each fit's last fresh Hessian
+    inv = np.empty((nb, q, q))
+    has_inv = np.zeros(nb, dtype=bool)
+    live = np.flatnonzero(~converged)
+    for _ in range(_LOGIT_MAX_ITER - 1):
         if live.size == 0:
             break
-    reach = np.where(counts > 0, np.abs(beta @ x.T), 0.0).max(axis=1)
+        c = counts if live.size == nb else counts[live]
+        b = beta[live]
+        prob = expit(b @ x.T)
+        work = np.subtract(d, prob)
+        work *= c
+        grad = work @ x - ridge * b
+        step = np.empty_like(grad)
+        reuse = chord[live]
+        if not reuse.all():
+            fresh = ~reuse
+            rows = live[fresh]
+            # the Hessian weights c p (1 - p), formed in the gradient's buffer
+            np.subtract(1.0, prob, out=work)
+            work *= prob
+            work += 1e-12
+            work *= c
+            del prob
+            hess = design.gram(work if fresh.all() else work[fresh])
+            hess[:, diag, diag] += ridge + 1e-12
+            kept[rows] = hess
+            has_inv[rows] = False
+            step[fresh] = _solve(hess, grad[fresh], _lstsq)
+        if reuse.any():
+            rows = live[reuse]
+            new = rows[~has_inv[rows]]
+            if new.size:
+                inv[new] = _inverse(kept[new])
+                has_inv[new] = True
+            step[reuse] = np.einsum("bij,bj->bi", inv[rows], grad[reuse])
+        beta[live] = b + step
+        moved = np.max(np.abs(step), axis=1)
+        chord[live] = moved <= _CHORD_RATIO * size[live]
+        size[live] = moved
+        done = moved <= _LOGIT_TOL
+        converged[live[done]] = True
+        live = live[~done]
+    # |x beta| <= max|x| * sum|beta| bounds the reach, so only rows whose
+    # bound comes near 30 form x beta
+    reach = np.zeros(nb)
+    far = np.flatnonzero(np.abs(beta).sum(axis=1) * np.abs(x).max() > 29.0)
+    if far.size:
+        reach[far] = np.where(
+            counts[far] > 0, np.abs(beta[far] @ x.T), 0.0
+        ).max(axis=1)
     clean = converged & np.all(np.isfinite(beta), axis=1) & (reach <= 30)
     return beta, clean
 

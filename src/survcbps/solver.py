@@ -65,8 +65,8 @@ they were, and the beta = 0 fallback starts the dual cold: its outcome
 does not depend on tau. A stand-alone fit_pel builds its own one-tau path.
 Both take the propensity clip bound as a plain argument, which the path
 checks before any other work.
-The first fit on a path starts at the one-row case of the shared Newton
-logistic fit, moments._logistic_mle, with ridge 1e-4 (beta = 0 if that is
+The first fit on a path starts at the one-row case of the shared
+logistic fit, moments._logistic_mle, from 0 with ridge 1e-4 (beta = 0 if that is
 not finite).
 
 The outer curvature n * G' V^{-1} G does not depend on tau, so the path

@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit, ndtri
 
 import survcbps as sc
-from survcbps.baselines import fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
+from survcbps.baselines import (
+    _propensity, fit_aipw, fit_cbps_unpenalized, fit_naive_ipw,
+)
 from survcbps.censoring import CensorSurvival
 from survcbps.inference import ate_with_ci
-from survcbps.moments import _Design
+from survcbps.moments import _Design, _logistic_mle
 from survcbps.solver import fit_pel
 from tests.conftest import (
     BAD_CLIPS, BAD_LEVELS, BAD_N_BOOTS, Untouched, ipcw_hajek_means,
@@ -362,3 +366,82 @@ def test_aipw_rank_deficient_arm_takes_the_ridge_fit():
         sc.fit_censoring_km(shuffled, 0), n_boot=2,
     )
     assert again.ate == pytest.approx(res.ate, rel=1e-10)
+
+
+def boot_large_n_data():
+    """Replication 0 of the benchmark's n = 5000, p = 10 bootstrap design."""
+    root = Path(__file__).resolve().parents[1]
+    config = sc.load_config(root / "bench" / "boot_large_n.conf")
+    return config, sc.generate_dataset(config, 0)[0]
+
+
+@pytest.mark.parametrize(
+    "name, n_boot",
+    [("arms", 200), ("separation", 200), ("tiny", 200), ("wide", 25),
+     ("boot_large_n", 40)],
+)
+def test_warm_started_logistic_fits_match_the_cold_oracle(arms, name, n_boot):
+    """Fits started at the full-sample beta, with the cold retry, equal the
+    cold per-resample oracle: the same clean flags, and the same beta, from
+    the ridge-1e-2 refit where a fit is not clean.
+
+    On the near-separated design some resamples diverge from the
+    full-sample beta although their fit from 0 converges; the cold retry
+    is what brings them back to the oracle.
+    """
+    data = {
+        "arms": lambda: arms[0],
+        "separation": near_separation_data,
+        "tiny": tiny_data,
+        "wide": lambda: small_dataset(seed=21, n=2200, p=30),
+        "boot_large_n": lambda: boot_large_n_data()[1],
+    }[name]()
+    n = data.n
+    xmat = np.column_stack((np.ones(n), data.x))
+    d = data.d.astype(float)
+    design = _Design(xmat)
+    start, full_clean = _logistic_mle(design, d, np.ones((1, n)))
+    assert full_clean[0]
+    rng = np.random.default_rng(np.random.SeedSequence((5, 0x1F)))
+    counts = np.array([
+        np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(n_boot)
+    ], dtype=float)
+    warm_clean = _logistic_mle(design, d, counts, start=start[0])[1]
+    clean, beta = _propensity(design, d, counts, 0.01, start=start[0])[1:]
+    oracle, oracle_clean = [], []
+    for c in counts.astype(int):
+        idx = np.repeat(np.arange(n), c)
+        coef, ok = reference_logistic(xmat[idx], d[idx])
+        if not ok:
+            coef = reference_logistic(xmat[idx], d[idx], ridge=1e-2)[0]
+        oracle.append(coef)
+        oracle_clean.append(ok)
+    oracle_clean = np.array(oracle_clean)
+    np.testing.assert_array_equal(clean, oracle_clean)
+    np.testing.assert_allclose(beta, np.array(oracle), rtol=0, atol=1e-9)
+    # no fit is clean from the full-sample beta unless it is clean from 0
+    assert not np.any(warm_clean & ~oracle_clean)
+    if name == "separation":
+        assert np.any(~warm_clean & oracle_clean)
+
+
+def test_bootstrap_hessian_budget(monkeypatch):
+    """Resample fits start at the full-sample beta and reuse their Hessians.
+
+    Newton from beta = 0 with a fresh Hessian at every step formed about
+    5.7 logistic Hessians per resample on this design.
+    """
+    config, data = boot_large_n_data()
+    k1 = sc.fit_censoring_km(data, 1, floor=config.km_floor)
+    k0 = sc.fit_censoring_km(data, 0, floor=config.km_floor)
+    rows = []
+    real = _Design.gram
+
+    def gram(self, w):
+        rows.append(w.shape[0])
+        return real(self, w)
+
+    monkeypatch.setattr(_Design, "gram", gram)
+    res = fit_naive_ipw(data, k1, k0, n_boot=config.n_boot, seed=5)
+    assert np.isfinite(res.se)
+    assert sum(rows) <= 2.5 * config.n_boot

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import survcbps as sc
-from survcbps.censoring import CensorSurvival, _product_limit
+from survcbps.censoring import CensorSurvival, _CensorGrid, _product_limit
 from tests.conftest import BAD_FLOORS
 
 
@@ -122,7 +122,9 @@ def test_counts_kernel_equals_fit_on_repeated_rows(ties):
         counts[1] = 1
         for floor in (1e-12, 0.05, 0.6):
             for c_all in (counts, counts.astype(float)):
-                times, events, left = _product_limit(y, censored, c_all, floor)
+                grid = _CensorGrid(y, censored)
+                times = grid.times
+                events, left = _product_limit(grid, c_all, floor)
                 np.testing.assert_array_equal(times, np.unique(y[censored]))
                 slot = np.searchsorted(times, y)
                 np.testing.assert_array_equal(left[0], 1.0)

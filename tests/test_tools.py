@@ -1,7 +1,7 @@
 """The per-layer cost tool still runs against the package.
 
 ``tools/layer_costs.py`` wraps solver names looked up at call time
-(``_weighted_gram``, ``_mean_jacobian``, ``solve_inner_dual``, ``fit_pel``);
+(``solve_inner_dual``, ``_mean_jacobian``, ``fit_pel``);
 a solver refactor that renames one would break it without failing any
 other test.
 """
