@@ -27,19 +27,21 @@ print(f"selected tau = {tau:.4f}")
 print("fitted beta:", np.round(fit.beta_hat, 3))
 print("active set:", fit.active_set, " converged:", fit.converged)
 
-# balance diagnostic: weighted covariate means arm by arm
-w1, w0 = sc.normalized_weights(data, fit.params)
+# balance diagnostic: covariate means arm by arm under the inverse
+# propensity weights d / pi and (1 - d) / (1 - pi), each normalized
+pi = sc.propensity(fit.params, data.x)
+w1 = data.d / pi
+w0 = (1 - data.d) / (1 - pi)
 raw1 = data.x[data.d == 1].mean(axis=0)
 raw0 = data.x[data.d == 0].mean(axis=0)
-bal1 = w1 @ data.x
-bal0 = w0 @ data.x
+bal1 = w1 @ data.x / w1.sum()
+bal0 = w0 @ data.x / w0.sum()
 
 print("\nlargest covariate mean gap |treated - control|")
 print(f"  unweighted: {np.max(np.abs(raw1 - raw0)):.4f}")
 print(f"  weighted:   {np.max(np.abs(bal1 - bal0)):.4f}")
 
-# under the empirical likelihood weights the stacked balance and
-# calibration moments are zeroed out to solver precision
+# the fit carries its empirical likelihood weights, under which the
+# stacked balance and calibration moments vanish to solver precision
 gm = sc.stack_g(fit.params, data, k1, k0)
-w = sc.el_weights(gm, fit.dual.lam)
-print(f"  EL-weighted moment gap: {np.max(np.abs(w @ gm)):.2e}")
+print(f"  EL-weighted moment gap: {np.max(np.abs(fit.dual.weights @ gm)):.2e}")

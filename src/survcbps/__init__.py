@@ -29,7 +29,6 @@ from .errors import (
 from .inference import (
     ATEResult,
     ate_with_ci,
-    normalized_weights,
     weighted_median,
 )
 from .moments import PropensityParams, jacobian_g, propensity, stack_g
@@ -47,7 +46,6 @@ from .simulation import (
 from .solver import (
     PELFit,
     default_tau_grid,
-    el_weights,
     fit_pel,
     select_tau,
     solve_inner_dual,
@@ -77,7 +75,6 @@ __all__ = [
     "SurvCbpsError",
     "ate_with_ci",
     "default_tau_grid",
-    "el_weights",
     "fit_aipw",
     "fit_cbps_unpenalized",
     "fit_naive_ipw",
@@ -88,7 +85,6 @@ __all__ = [
     "load_config",
     "load_dump",
     "lqa_weight",
-    "normalized_weights",
     "parse_csv",
     "propensity",
     "run_study",

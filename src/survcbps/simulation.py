@@ -492,8 +492,12 @@ def run_study(config: SimConfig, workers: int = 1) -> SimReport:
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> SimConfig:
-    """Flat ``key = value`` lines with # comments into a SimConfig."""
+    """Flat ``key = value`` lines with # comments into a SimConfig.
+
+    A key may appear once; overrides replace file values.
+    """
     values = {}
+    first = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -504,6 +508,11 @@ def parse_config_text(text: str, overrides: dict | None = None) -> SimConfig:
         key, val = key.strip(), val.strip()
         if key not in SimConfig.__dataclass_fields__:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first:
+            raise ConfigError(
+                f"line {lineno}: repeated key {key!r} (first on line {first[key]})"
+            )
+        first[key] = lineno
         values[key] = _coerce_config_value(key, val, f"line {lineno}")
     if overrides:
         values.update(overrides)

@@ -9,7 +9,9 @@ where log* is the pseudo-logarithm equal to log on [1/n, inf) and extended
 below 1/n by the quadratic with matching value and first two derivatives.
 phi is globally concave, so a damped Newton iteration converges fast; the
 maximizing lam recovers the empirical likelihood weights
-w_i = (1/n) / (1 + lam' g_i) on the interior branch.
+w_i = (1/n) log*'(1 + lam' g_i), which is (1/n) / (1 + lam' g_i) on the
+interior branch. The solve returns them as ELDualState.weights, from the
+log*' it already holds at its last step.
 
 Outer problem: minimize over beta
 
@@ -121,11 +123,15 @@ _TAU_NUM, _TAU_LO, _TAU_HI = 20, 0.01, 2.0   # default grid, sqrt(log p / n) uni
 class ELDualState:
     """Result of one inner dual maximization.
 
+    weights are the EL weights (1/n) log*'(1 + lam' g_i) at lam, all
+    positive. They depend on lam only through the products lam' g_i, so
+    fit_pel's map of lam to the original scale leaves them valid there.
     iterations counts the accepted Newton and chord steps, hessians the
     Hessians formed and factored.
     """
 
     lam: np.ndarray
+    weights: np.ndarray
     inner_objective: float
     grad_norm: float
     iterations: int
@@ -298,24 +304,13 @@ def solve_inner_dual(
         chord = chord and gnorm <= 0.5 * last
     return ELDualState(
         lam=lam,
+        weights=d1 / n,
         inner_objective=val,
         grad_norm=gnorm,
         iterations=iters,
         converged=bool(gnorm <= tol or stalled),
         hessians=hessians,
     )
-
-
-def el_weights(gmat, lam) -> np.ndarray:
-    """Empirical likelihood weights implied by a dual vector.
-
-    Equals (1/n) / (1 + lam' g_i) on the logarithmic branch; the pseudo-log
-    continuation keeps every weight strictly positive.
-    """
-    g = np.asarray(gmat, dtype=float)
-    n = g.shape[0]
-    z = 1.0 + g @ np.asarray(lam, dtype=float)
-    return _logstar(z, 1.0 / n, derivs=True)[1] / n
 
 
 class _Path:
@@ -412,8 +407,7 @@ def fit_pel(
     outer = 0
     for outer in range(1, _MAX_OUTER + 1):
         lam = state.lam
-        row_scale = _logstar(1.0 + gm @ lam, 1.0 / n, derivs=True)[1]
-        grad_el = _profile_grad(path.x, slopes, lam, row_scale)
+        grad_el = _profile_grad(path.x, slopes, lam, n * state.weights)
         if scad is not None:
             w_lqa = np.atleast_1d(lqa_weight(beta, scad, _LQA_EPS))
         else:

@@ -16,7 +16,9 @@ import survcbps as sc
 from conftest import small_dataset
 from test_censoring import brute_force_censor_survival
 from test_scad import reference_derivative, reference_value
-from test_solver import maximize_dual_generic, random_moment_matrix
+from test_solver import (
+    maximize_dual_generic, oracle_el_weights, random_moment_matrix,
+)
 
 
 @pytest.fixture
@@ -119,11 +121,13 @@ def test_criterion_01_inner_dual_oracle(check):
         g, _ = random_moment_matrix(rng)
         state = sc.solve_inner_dual(g)
         lam_ref, val_ref = maximize_dual_generic(g)
-        w = sc.el_weights(g, state.lam)
+        # balance weights from lam by the log*' formula, not the solver
+        w = oracle_el_weights(state.lam, g)
         ok = ok and state.converged
         ok = ok and abs(state.inner_objective - val_ref) <= 1e-6
         ok = ok and bool(np.max(np.abs(state.lam - lam_ref)) <= 1e-4)
         ok = ok and bool(np.max(np.abs(w @ g)) <= 1e-6)
+        ok = ok and bool(np.allclose(state.weights, w, rtol=1e-12, atol=0))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     assert check(

@@ -225,6 +225,16 @@ def test_simulate_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_config_with_a_repeated_key(tmp_path, capsys):
+    conf = tmp_path / "twice.conf"
+    conf.write_text("n = 300\nreplications = 2\nn = 50\n")
+    code = main(["simulate", "--config", str(conf)])
+    err_doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err_doc["error"]["category"] == "config"
+    assert "line 3: repeated key 'n' (first on line 1)" in err_doc["error"]["message"]
+
+
 @pytest.mark.parametrize("argv", [["--gamma-magnitude", "20"],
                                   ["--weibull-k", "0.005"]])
 def test_simulate_non_finite_truth_is_a_config_error(

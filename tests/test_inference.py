@@ -3,7 +3,7 @@ import pytest
 from scipy.special import ndtri
 
 import survcbps as sc
-from survcbps.inference import _z_value, ate_with_ci, normalized_weights, weighted_median
+from survcbps.inference import _z_value, ate_with_ci, weighted_median
 from survcbps.moments import PropensityParams
 from survcbps.solver import fit_pel
 from tests.conftest import ipcw_hajek_means, sandwich_sigma, small_dataset
@@ -26,16 +26,6 @@ def test_weighted_median_validation():
         weighted_median([1.0, 2.0], [-0.1, 1.1])
     with pytest.raises(sc.InputError):
         weighted_median([1.0, 2.0], [0.5])
-
-
-def test_normalized_weights_sum_to_one(toy_data):
-    params = PropensityParams(beta=np.zeros(toy_data.p))
-    w1, w0 = normalized_weights(toy_data, params)
-    assert w1.sum() == pytest.approx(1.0)
-    assert w0.sum() == pytest.approx(1.0)
-    # at beta = 0 the weights are uniform within each arm
-    n1 = int((toy_data.d == 1).sum())
-    np.testing.assert_allclose(w1[toy_data.d == 1], np.full(n1, 1.0 / n1))
 
 
 def test_z_value_matches_scipy_quantile_within_a_few_ulp():
@@ -75,7 +65,10 @@ def test_medians_without_censoring_equal_the_inverse_propensity_medians(
     """With delta = 1 and K = 1 the IPCW weights are d / pi bit for bit."""
     fit, k1, k0 = _fitted(toy_uncensored)
     res = ate_with_ci(toy_uncensored, fit, k1, k0)
-    w1, w0 = normalized_weights(toy_uncensored, fit.params)
+    d = toy_uncensored.d.astype(float)
+    pi = sc.propensity(fit.params, toy_uncensored.x)
+    raw1, raw0 = d / pi, (1.0 - d) / (1.0 - pi)
+    w1, w0 = raw1 / raw1.sum(), raw0 / raw0.sum()
     assert res.median1 == weighted_median(toy_uncensored.y, w1)
     assert res.median0 == weighted_median(toy_uncensored.y, w0)
 

@@ -414,6 +414,18 @@ def test_parse_config_text():
     assert over.n == 400
 
 
+def test_parse_config_text_rejects_a_repeated_key():
+    with pytest.raises(
+        sc.ConfigError, match=r"^line 2: repeated key 'n' \(first on line 1\)$"
+    ):
+        parse_config_text("n = 300\nn = 50\n")
+    # comments and blank lines keep their line numbers
+    with pytest.raises(sc.ConfigError, match=r"line 4: repeated key 'p' \(first on line 2\)"):
+        parse_config_text("# study\np = 3\n\np = 4  # again\n")
+    # an override of a key given once is not a repeat
+    assert parse_config_text("n = 300", overrides={"n": 50}).n == 50
+
+
 def test_failed_replication_is_recorded_not_fatal(monkeypatch):
     import survcbps.simulation as sim
 

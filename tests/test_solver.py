@@ -15,7 +15,6 @@ from survcbps.solver import (
     _logstar,
     _Path,
     default_tau_grid,
-    el_weights,
     fit_pel,
     select_tau,
     solve_inner_dual,
@@ -43,12 +42,21 @@ def oracle_dual_value(lam, g):
     return float(np.sum(oracle_pseudo_log(1.0 + g @ lam, 1.0 / n)))
 
 
+def oracle_pseudo_log_slope(z, eps):
+    """log*'(z), written independently of the solver: 1/z on [eps, inf),
+    2/eps - z/eps^2 below."""
+    return np.where(z >= eps, 1.0 / np.maximum(z, eps), 2.0 / eps - z / eps**2)
+
+
 def oracle_dual_gradient(lam, g):
     n = g.shape[0]
-    eps = 1.0 / n
-    z = 1.0 + g @ lam
-    d1 = np.where(z >= eps, 1.0 / np.maximum(z, eps), 2.0 / eps - z / eps**2)
-    return g.T @ d1
+    return g.T @ oracle_pseudo_log_slope(1.0 + g @ lam, 1.0 / n)
+
+
+def oracle_el_weights(lam, g):
+    """EL weights (1/n) log*'(1 + g_i' lam)."""
+    n = g.shape[0]
+    return oracle_pseudo_log_slope(1.0 + g @ lam, 1.0 / n) / n
 
 
 def maximize_dual_generic(g):
@@ -97,7 +105,7 @@ def test_inner_dual_matches_generic_optimizer():
         lam_ref, val_ref = maximize_dual_generic(g)
         assert abs(state.inner_objective - val_ref) <= 1e-6
         np.testing.assert_allclose(state.lam, lam_ref, atol=1e-4)
-        w = el_weights(g, state.lam)
+        w = oracle_el_weights(state.lam, g)
         assert np.all(w > 0)
         assert np.max(np.abs(w @ g)) <= 1e-6
     assert time.perf_counter() - start < 10.0
@@ -108,8 +116,21 @@ def test_inner_dual_zero_moments():
     g = np.zeros((8, 2))
     state = solve_inner_dual(g)
     np.testing.assert_allclose(state.lam, np.zeros(2))
-    np.testing.assert_allclose(el_weights(g, state.lam), np.full(8, 1 / 8))
+    np.testing.assert_allclose(state.weights, np.full(8, 1 / 8))
     assert state.inner_objective == pytest.approx(0.0)
+
+
+def test_inner_dual_returns_the_el_weights_at_its_lam():
+    """state.weights is (1/n) log*'(1 + g lam) at the returned lam."""
+    rng = np.random.default_rng(31)
+    cases = [random_moment_matrix(rng)[0] for _ in range(40)]
+    cases.append(np.zeros((8, 2)))
+    for g in cases:
+        n = g.shape[0]
+        state = solve_inner_dual(g)
+        ref = _logstar(1.0 + g @ state.lam, 1.0 / n, derivs=True)[1] / n
+        np.testing.assert_allclose(state.weights, ref, rtol=1e-12, atol=0)
+        assert np.all(state.weights > 0)
 
 
 def test_inner_dual_warm_start_cannot_hurt():
@@ -134,7 +155,7 @@ def test_weights_sum_to_one_at_optimum():
     rng = np.random.default_rng(12)
     g, _ = random_moment_matrix(rng)
     state = solve_inner_dual(g)
-    w = el_weights(g, state.lam)
+    w = state.weights
     # sum w = 1 holds because the 1-direction is in the span of the
     # constraint g rows only approximately; allow first-order slack
     assert abs(float(w.sum()) - 1.0) <= 1e-3
@@ -334,6 +355,16 @@ def test_select_tau_deterministic(toy_data):
     tau_b, fit_b = select_tau(toy_data, k1, k0)
     assert tau_a == tau_b
     np.testing.assert_array_equal(fit_a.beta_hat, fit_b.beta_hat)
+
+
+def test_fit_weights_balance_the_original_scale_moments(toy_data):
+    """The dual is solved in the rescaled coordinates and its lam mapped
+    back; the weights it carries still balance the original-scale rows."""
+    k1 = sc.fit_censoring_km(toy_data, 1)
+    k0 = sc.fit_censoring_km(toy_data, 0)
+    _, fit = select_tau(toy_data, k1, k0)
+    gm = sc.stack_g(fit.params, toy_data, k1, k0)
+    assert np.max(np.abs(fit.dual.weights @ gm)) <= 1e-6
 
 
 def test_a_one_value_grid_is_the_fixed_tau_fit(toy_data):
