@@ -7,8 +7,8 @@ probability weighted means,
 
 and the control analogue with w0_i = (1 - D_i) Delta_i / ((1 - pi_i) K_D(Y_i)),
 where K_D is the censoring curve of the subject's own arm. The weights come
-from the row pass that forms the moments (``moments._moment_rows``), which
-takes them from ``moments._ipcw_weights`` as the baselines do. Uncensored
+from the row pass that forms the moment operator (``moments._moment_rows``),
+which takes them from ``moments._ipcw_weights`` as the baselines do. Uncensored
 subjects are reweighted by the inverse of the arm-specific probability of
 remaining uncensored, which restores the mean of the latent event time under
 covariate-independent censoring within arm.
@@ -131,9 +131,10 @@ def weighted_median(y, w) -> float:
     return float(y[order][idx])
 
 
-def _sandwich(gmat, g1):
-    """(Sigma, V^{-1} G1) with Sigma = (G1' V^{-1} G1)^{-1}, G1 = J[:, active]."""
-    vinv_g1 = _vinv_jac(gmat, g1)
+def _sandwich(g, g1):
+    """(Sigma, V^{-1} G1) with Sigma = (G1' V^{-1} G1)^{-1}, G1 = J[:, active];
+    g is the moments._Moments at beta-hat."""
+    vinv_g1 = _vinv_jac(g, g1)
     bread = g1.T @ vinv_g1
     bread = 0.5 * (bread + bread.T)
     try:
@@ -203,7 +204,7 @@ def ate_with_ci(
         notes.append("propensity fit did not converge; inference is approximate")
     y = data.y
     n = data.n
-    gmat, w1, w0, slopes = _moment_rows(
+    g, w1, w0, slopes = _moment_rows(
         fit.beta_hat, fit.clip, data.x, data.d.astype(float),
         data.delta.astype(float), _own_arm_k(data, k1, k0),
     )
@@ -239,12 +240,12 @@ def ate_with_ci(
         g1 = _mean_jacobian(data.x, slopes)[:, active]
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            sigma, vinv_g1 = _sandwich(gmat, g1)
+            sigma, vinv_g1 = _sandwich(g, g1)
         notes.extend(str(w.message) for w in caught)
         se_prop = math.sqrt(max(float(grad_h @ sigma @ grad_h), 0.0) / n)
         # per-row coefficient influence, mapped through the ATE gradient
         bmat = sigma @ vinv_g1.T   # s x m
-        psi = -(gmat @ (bmat.T @ grad_h)) / n
+        psi = -g.dot(bmat.T @ grad_h) / n
     else:
         notes.append("active set is empty; propensity variance term is zero")
         se_prop = 0.0

@@ -15,9 +15,21 @@ K0 control rows. w1 and w0 are the IPCW weights, formed in one place
 the true coefficient vector all p + 2 components have expectation zero; the
 two calibration rows pin the total inverse-probability mass in each arm.
 
-One row pass per beta, ``_moment_rows``, gives the moments, the IPCW weights
-and the slopes in x' beta to the solver, ``stack_g``, ``jacobian_g`` and
-``inference.ate_with_ci``. ``_vinv_jac`` solves with the one V = g'g / n.
+Every column of the n x (p + 2) moment matrix g depends on beta only through
+n-vectors: g = [a X, B] with a = D/pi - (1 - D)/(1 - pi) and the border
+B = [w1 - 1, w0 - 1]. ``_Moments`` holds g in that factored form, (x, a, B),
+and gives the three products every caller needs without forming g:
+
+    g v              = a * (X v_p) + B v_b                    (``dot``)
+    g' u             = [X' (a u); B' u]                       (``tdot``)
+    g' diag(h) g     = X' diag(a^2 h) X, bordered by
+                       X' diag(a h) B and B' diag(h) B         (``_moment_gram``)
+
+One row pass per beta, ``_moment_rows``, gives the operator, the IPCW
+weights and the slopes in x' beta to the solver, ``jacobian_g`` and
+``inference.ate_with_ci``. ``_vinv_jac`` solves with the one
+V = g'g / n = ``_moment_gram(g, 1)`` / n. ``stack_g`` is the one place the
+dense g is formed.
 
 No intercept column is added implicitly; callers who want one must include
 a constant covariate.
@@ -106,9 +118,9 @@ def _ipcw_weights(delta, d, pi, kdy):
 
 
 def _moment_rows(beta, clip, x, d, delta, kdy):
-    """One pass over the rows at beta: (gmat, w1, w0, (b, dc1, dc0)).
+    """One pass over the rows at beta: (g, w1, w0, (b, dc1, dc0)).
 
-        gmat  the n x (p + 2) stacked moment matrix,
+        g     the n x (p + 2) stacked moment matrix, a ``_Moments`` over x,
         w1    IPCW weights, the treated calibration column plus 1,
         w0    IPCW weights, the control calibration column plus 1,
         b     coefficient of X X' in d(balance)/d(beta),
@@ -116,22 +128,22 @@ def _moment_rows(beta, clip, x, d, delta, kdy):
         dc0   coefficient of X in d(w0)/d(beta).
 
     Rows whose raw propensity falls outside the clip interval contribute
-    zero derivative (the clipped score is locally constant there).
+    zero derivative (the clipped score is locally constant there). No
+    n x (p + 2) array is formed.
     """
     raw = expit(x @ beta)
     pi = np.clip(raw, clip, 1.0 - clip)
     free = (raw > clip) & (raw < 1.0 - clip)
     om = 1.0 - pi
     w1, w0 = _ipcw_weights(delta, d, pi, kdy)
-    n, p = x.shape
-    gmat = np.empty((n, p + 2))
-    np.multiply((d / pi - (1.0 - d) / om)[:, None], x, out=gmat[:, :p])
-    gmat[:, p] = w1 - 1.0
-    gmat[:, p + 1] = w0 - 1.0
+    border = np.empty((x.shape[0], 2))
+    np.subtract(w1, 1.0, out=border[:, 0])
+    np.subtract(w0, 1.0, out=border[:, 1])
+    g = _Moments(x, d / pi - (1.0 - d) / om, border)
     b = np.where(free, -(d * om / pi + (1.0 - d) * pi / om), 0.0)
     dc1 = np.where(free, -d * delta * om / (pi * kdy), 0.0)
     dc0 = np.where(free, (1.0 - d) * delta * pi / (om * kdy), 0.0)
-    return gmat, w1, w0, (b, dc1, dc0)
+    return g, w1, w0, (b, dc1, dc0)
 
 
 def _weighted_gram(x, w):
@@ -142,6 +154,65 @@ def _weighted_gram(x, w):
     """
     h = np.sqrt(w)[:, None] * x
     return h.T @ h
+
+
+class _Moments:
+    """The n x m moment matrix g = [a x, border], held factored.
+
+    x is n x p, a an n-vector of row scales and border n x k, so m = p + k.
+    A dense matrix is the operator with a = 1 and no border, whose products
+    are those of the matrix bit for bit. On a path x is the one fixed
+    (rescaled) design and only a and the border change with beta.
+    """
+
+    __slots__ = ("x", "a", "border")
+
+    def __init__(self, x, a=1.0, border=None):
+        self.x = x
+        self.a = a
+        self.border = np.empty((x.shape[0], 0)) if border is None else border
+
+    @property
+    def shape(self):
+        return self.x.shape[0], self.x.shape[1] + self.border.shape[1]
+
+    @property
+    def nbytes(self):
+        """Bytes of the per-beta arrays held, a and the border; x is shared."""
+        return np.asarray(self.a).nbytes + self.border.nbytes
+
+    def dot(self, v):
+        """g v = a (x v_p) + border v_b."""
+        p = self.x.shape[1]
+        out = self.x @ v[:p]
+        out *= self.a
+        out += self.border @ v[p:]
+        return out
+
+    def tdot(self, u):
+        """g' u = [x' (a u); border' u]."""
+        return np.concatenate((self.x.T @ (self.a * u), self.border.T @ u))
+
+
+def _moment_gram(g, h):
+    """g' diag(h) g of a ``_Moments`` for h >= 0, exactly symmetric.
+
+    It is H'H for the rows of g scaled by sqrt(h), taken in two blocks:
+    hx = sqrt(h) a x, whose hx'hx numpy hands to BLAS syrk as in
+    ``_weighted_gram``, and hb = sqrt(h) border. hx is the largest
+    temporary, n x p. The solver looks this name up at call time for its
+    Hessians.
+    """
+    p, m = g.x.shape[1], g.shape[1]
+    s = np.sqrt(h)
+    hx = (s * g.a)[:, None] * g.x
+    hb = s[:, None] * g.border
+    out = np.empty((m, m))
+    out[:p, :p] = hx.T @ hx
+    out[:p, p:] = hx.T @ hb
+    out[p:, :p] = out[:p, p:].T
+    out[p:, p:] = hb.T @ hb
+    return out
 
 
 # A block of bootstrap resamples is processed at once. Its (block x n) arrays
@@ -318,12 +389,14 @@ def _mean_jacobian(x, slopes):
     return jac
 
 
-def _vinv_jac(gmat, jac):
+def _vinv_jac(g, jac):
     """V^{-1} J, V = g'g / n plus 1e-10 (1 + tr V) on the diagonal; lstsq if singular.
 
-    The outer curvature n J' V^{-1} J and the sandwich both solve with it.
+    g is a ``_Moments``. The outer curvature n J' V^{-1} J and the sandwich
+    both solve with it.
     """
-    vhat = gmat.T @ gmat / gmat.shape[0]
+    n = g.shape[0]
+    vhat = _moment_gram(g, np.ones(n)) / n
     vhat[np.diag_indices_from(vhat)] += 1e-10 * (1.0 + np.trace(vhat))
     return _solve_or_lstsq(vhat, jac)
 
@@ -356,8 +429,13 @@ def stack_g(
     k1: CensorSurvival,
     k0: CensorSurvival,
 ) -> np.ndarray:
-    """All n stacked moment rows as an n x (p + 2) matrix."""
-    return _rows_at(params, data, k1, k0)[0]
+    """All n stacked moment rows as an n x (p + 2) matrix.
+
+    The one place the dense g is formed; the solver and the inference use
+    its factored ``_Moments`` form.
+    """
+    g = _rows_at(params, data, k1, k0)[0]
+    return np.hstack((g.a[:, None] * g.x, g.border))
 
 
 def jacobian_g(

@@ -32,10 +32,15 @@ and ends unconverged when 40 halvings find no decrease elsewhere or 200
 steps run out.
 
 The inner problem is solved by a chord-Newton iteration (Kelley 2003,
-Solving Nonlinear Equations with Newton's Method). A fresh Newton step
-forms the Hessian g' diag(-log*'') g as one symmetric product, O(n m^2),
-takes its direction from an LU solve (least squares if that fails), and
-halves a rejected step up to 60 times at O(n) a halving. The slot keeps
+Solving Nonlinear Equations with Newton's Method). It reads the moment
+matrix g only through three products: g v, g' u and the Hessian
+g' diag(-log*'') g. On a path g is a moments._Moments, which gives them
+from the path's fixed design and the n-vectors of one beta; the public
+dense form wraps the matrix with a = 1 and no border, whose products are
+the matrix's own. A fresh Newton step forms the Hessian, exactly
+symmetric, in O(n m^2), takes its direction from an LU solve (least
+squares if that fails), and halves a rejected step up to 60 times at O(n)
+a halving. The slot keeps
 that Hessian. A solve handed an earlier Hessian first steps with its
 inverse instead, at O(n m) a step; the slot forms the inverse the first
 time a chord step needs it, at most once per Hessian. The solve keeps
@@ -47,8 +52,9 @@ objective ends the solve as a converged stall once the solve has accepted
 a step, all of which were then contracting chord steps; at the first step
 it hands over to a fresh Newton step instead, so a stale Hessian cannot
 pass for a stall. One pass over the rows at each beta,
-moments._moment_rows, gives the moment matrix and the slopes from which
-the outer step's profile gradient and Jacobian follow.
+moments._moment_rows, gives the moment operator and the slopes from which
+the outer step's profile gradient and Jacobian follow; no n x m array is
+formed on the path.
 
 Covariates are rescaled internally to unit variance so the penalty acts on
 comparable coordinates; estimates are mapped back to the original scale.
@@ -99,12 +105,13 @@ from .moments import (
     _logistic_mle,
     _lstsq,
     _mean_jacobian,
+    _moment_gram,
     _moment_rows,
+    _Moments,
     _own_arm_k,
     _profile_grad,
     _solve_or_lstsq,
     _vinv_jac,
-    _weighted_gram,
 )
 from .scad import ScadParams, lqa_weight, scad_value
 
@@ -201,6 +208,25 @@ def _logstar(z, eps, derivs=False):
     return val, d1, d2
 
 
+def _as_moments(gmat) -> _Moments:
+    """gmat as a moments._Moments, checked finite.
+
+    A dense n x m matrix is checked whole and wrapped with a = 1 and no
+    border. An operator is checked by its per-beta vectors only: its x is
+    a validated, fixed design.
+    """
+    if isinstance(gmat, _Moments):
+        g, parts = gmat, (gmat.a, gmat.border)
+    else:
+        dense = np.asarray(gmat, dtype=float)
+        if dense.ndim != 2:
+            raise InputError("gmat must be 2-d (rows = observations)")
+        g, parts = _Moments(dense), (dense,)
+    if not all(np.all(np.isfinite(part)) for part in parts):
+        raise InputError("gmat must be finite")
+    return g
+
+
 def solve_inner_dual(
     gmat,
     lambda_init=None,
@@ -210,15 +236,12 @@ def solve_inner_dual(
 ) -> ELDualState:
     """Chord-Newton maximization of the pseudo-log dual objective.
 
-    factor, when given, holds an earlier Hessian of the same size; the
-    solve may step with its inverse first and leaves its last fresh
-    Hessian there.
+    gmat is the n x m moment matrix, dense or as a moments._Moments; the
+    solve uses only its products g v, g' u and g' diag(h) g. factor, when
+    given, holds an earlier Hessian of the same size; the solve may step
+    with its inverse first and leaves its last fresh Hessian there.
     """
-    g = np.asarray(gmat, dtype=float)
-    if g.ndim != 2:
-        raise InputError("gmat must be 2-d (rows = observations)")
-    if not np.all(np.isfinite(g)):
-        raise InputError("gmat must be finite")
+    g = _as_moments(gmat)
     n, m = g.shape
     if n < 1:
         raise InputError("gmat needs at least one row")
@@ -231,13 +254,13 @@ def solve_inner_dual(
         cand = np.asarray(lambda_init, dtype=float)
         if cand.shape == (m,) and np.all(np.isfinite(cand)):
             # keep the warm start only when it beats the cold one
-            zc = 1.0 + g @ cand
+            zc = 1.0 + g.dot(cand)
             vc = float(np.sum(_logstar(zc, eps)))
             if vc > 0.0:
                 lam, z, val = cand.copy(), zc, vc
     slot = factor if factor is not None else _FactorSlot()
     _, d1, d2 = _logstar(z, eps, derivs=True)
-    grad = g.T @ d1
+    grad = g.tdot(d1)
     gnorm = float(np.max(np.abs(grad))) if m else 0.0
     iters = 0
     hessians = 0
@@ -254,7 +277,7 @@ def solve_inner_dual(
             direction = slot.inverse() @ grad
             slope = float(grad @ direction)
             if 0.5 * slope > floor:
-                zc = z + g @ direction
+                zc = z + g.dot(direction)
                 vc = float(np.sum(_logstar(zc, eps)))
                 accepted = vc >= val + 1e-4 * slope
             elif iters:
@@ -267,7 +290,7 @@ def solve_inner_dual(
         if not accepted:
             # fresh Newton step; -log*'' is 1/z^2 or 1/eps^2, positive on
             # both branches
-            a_mat = _weighted_gram(g, -d2)
+            a_mat = _moment_gram(g, -d2)
             ridge = 1e-12 * (1.0 + np.trace(a_mat) / m)
             a_mat[np.diag_indices_from(a_mat)] += ridge
             hessians += 1
@@ -284,7 +307,7 @@ def solve_inner_dual(
             if 0.5 * slope <= floor:
                 stalled = True
                 break
-            gdir = g @ direction
+            gdir = g.dot(direction)
             step = 1.0
             for _ in range(60):
                 zc = z + step * gdir
@@ -299,7 +322,7 @@ def solve_inner_dual(
         lam, z, val = lam + direction, zc, vc
         iters += 1
         _, d1, d2 = _logstar(z, eps, derivs=True)
-        grad = g.T @ d1
+        grad = g.tdot(d1)
         gnorm, last = float(np.max(np.abs(grad))), gnorm
         chord = chord and gnorm <= 0.5 * last
     return ELDualState(
@@ -340,27 +363,28 @@ class _Path:
         self.h_el = None
 
     def q_eval(self, beta, scad, lam_init=None):
-        """(Q, dual state, gmat, slopes) at internal beta.
+        """(Q, dual state, g, slopes) at internal beta; g is the
+        moments._Moments over the path's x.
 
         Q is the profiled EL term plus n times the summed penalty, and +inf
         when the inner solve fails, so that comparisons reject the point.
         """
-        gm, _, _, slopes = _moment_rows(
+        g, _, _, slopes = _moment_rows(
             beta, self.clip, self.x, self.dvec, self.delta, self.kdy
         )
-        state = solve_inner_dual(gm, lam_init, factor=self.factor)
+        state = solve_inner_dual(g, lam_init, factor=self.factor)
         if not state.converged:
-            return math.inf, state, gm, slopes
+            return math.inf, state, g, slopes
         q = state.inner_objective
         if scad is not None:
             q += self.n * float(np.sum(scad_value(np.abs(beta), scad)))
-        return q, state, gm, slopes
+        return q, state, g, slopes
 
-    def form_curvature(self, gm, slopes):
-        """Form and keep n * J' V^{-1} J from one beta's moment rows and
-        slopes (V as in moments._vinv_jac)."""
+    def form_curvature(self, g, slopes):
+        """Form and keep n * J' V^{-1} J from one beta's moments and
+        slopes (V = g'g / n as in moments._vinv_jac)."""
         jac = _mean_jacobian(self.x, slopes)
-        h_el = self.n * (jac.T @ _vinv_jac(gm, jac))
+        h_el = self.n * (jac.T @ _vinv_jac(g, jac))
         self.h_el = 0.5 * (h_el + h_el.T)
 
 

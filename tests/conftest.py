@@ -5,6 +5,7 @@ import pytest
 
 import survcbps as sc
 from survcbps.inference import _sandwich
+from survcbps.moments import _Moments
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -34,10 +35,11 @@ def small_dataset(seed=0, n=60, p=3, censor=True):
 
 def sandwich_sigma(fit, data, k1, k0):
     """Sandwich covariance of fit's active coefficients, from the public
-    ``stack_g`` and ``jacobian_g``."""
+    ``stack_g`` and ``jacobian_g``; the dense matrix enters as the
+    operator with a = 1 and no border."""
     params = fit.params
     g1 = sc.jacobian_g(params, data, k1, k0)[:, fit.active_set]
-    return _sandwich(sc.stack_g(params, data, k1, k0), g1)[0]
+    return _sandwich(_Moments(sc.stack_g(params, data, k1, k0)), g1)[0]
 
 
 def ipcw_hajek_means(y, delta, d, pi, kdy):

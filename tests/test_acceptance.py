@@ -170,7 +170,7 @@ def test_criterion_02_derivative_checks(check):
         beta = rng.uniform(-0.25, 0.25, data.p)  # internal coordinates
         _, state, gm, slopes = path.q_eval(beta, None)
         state = sc.solve_inner_dual(gm, state.lam, tol=1e-12)
-        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / path.n, derivs=True)[1]
+        row_scale = _logstar(1.0 + gm.dot(state.lam), 1.0 / path.n, derivs=True)[1]
         grad = _profile_grad(path.x, slopes, state.lam, row_scale)
         h = 1e-5
         for j in range(data.p):

@@ -1,4 +1,5 @@
 import decimal
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,10 @@ from survcbps.moments import (
     PropensityParams,
     _Design,
     _lstsq,
+    _moment_gram,
     _moment_rows,
+    _Moments,
+    _rows_at,
     _solve,
     _weighted_gram,
     expit,
@@ -218,6 +222,69 @@ def test_symmetric_products_match_general_products(toy_data):
             toy_data.delta.astype(float), kdy,
         )[3][0]
         close(jacobian_g(params, toy_data, k1, k0)[:p], (x * b[:, None]).T @ x / n)
+
+
+def _clip_fixture(seed, n=150, p=4, clip=0.05):
+    """Data, curves and params whose rows include clipped propensities and
+    rows within 1e-9 of either clip bound in x' beta."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p)
+    beta = rng.uniform(-1.5, 1.5, p)
+    bound = math.log((1.0 - clip) / clip)
+    for i, target in enumerate((bound, -bound)):
+        for k, shift in enumerate((-1e-9, 1e-9)):
+            row = 2 * i + k
+            x[row] *= (target + shift) / (x[row] @ beta)
+    d = (rng.random(n) < 0.5).astype(int)
+    d[:2], d[2:4] = 1, 0
+    t = rng.exponential(2.0, n)
+    c = rng.exponential(4.0, n)
+    data = sc.Dataset(y=np.minimum(t, c), delta=(t <= c).astype(int), d=d, x=x)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    params = PropensityParams(beta=beta, clip=clip)
+    assert np.any(np.abs(x @ beta) > bound + 1e-3)
+    return data, k1, k0, params, rng
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factored_products_equal_the_dense_moment_matrix(seed):
+    """g v, g' u, g' diag(h) g and V = g'g / n from the operator agree with
+    the products of stack_g's dense matrix, each entry within 1e-12 of the
+    sum of its terms' magnitudes."""
+    data, k1, k0, params, rng = _clip_fixture(seed)
+    g = _rows_at(params, data, k1, k0)[0]
+    dense = stack_g(params, data, k1, k0)
+    n, m = dense.shape
+    assert g.shape == (n, m) and m == data.p + 2
+    mag = np.abs(dense)
+
+    def close(got, want, scale):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    v = rng.standard_normal(m)
+    close(g.dot(v), dense @ v, mag @ np.abs(v))
+    u = rng.standard_normal(n)
+    close(g.tdot(u), dense.T @ u, mag.T @ np.abs(u))
+    h = rng.exponential(1.0, n)
+    h[rng.random(n) < 0.2] = 0.0
+    gram = _moment_gram(g, h)
+    np.testing.assert_array_equal(gram, gram.T)
+    close(gram, dense.T @ (h[:, None] * dense), mag.T @ (h[:, None] * mag))
+    close(_moment_gram(g, np.ones(n)) / n, dense.T @ dense / n, mag.T @ mag / n)
+    # the operator holds the per-beta a and border, not x
+    assert g.nbytes == 3 * n * 8
+
+
+def test_a_dense_matrix_is_the_operator_with_unit_scale_and_no_border():
+    """Wrapped, a dense matrix gives its own products bit for bit."""
+    rng = np.random.default_rng(12)
+    dense = rng.standard_normal((200, 7))
+    g = _Moments(dense)
+    v, u, h = rng.standard_normal(7), rng.standard_normal(200), rng.random(200)
+    np.testing.assert_array_equal(g.dot(v), dense @ v)
+    np.testing.assert_array_equal(g.tdot(u), dense.T @ u)
+    np.testing.assert_array_equal(_moment_gram(g, h), _weighted_gram(dense, h))
 
 
 @pytest.mark.parametrize("singular", [[0], [1], [0, 2]])

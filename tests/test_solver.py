@@ -1,7 +1,8 @@
 import math
 import re
 import time
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,15 @@ from scipy.optimize import minimize
 
 import survcbps as sc
 from survcbps.scad import ScadParams
-from survcbps.moments import _moment_rows, _profile_grad, _weighted_gram
+from survcbps.moments import (
+    _moment_gram,
+    _moment_rows,
+    _Moments,
+    _profile_grad,
+    _weighted_gram,
+)
 from survcbps.solver import (
+    ELDualState,
     _FactorSlot,
     _logstar,
     _Path,
@@ -144,6 +152,27 @@ def test_inner_dual_warm_start_cannot_hurt():
     assert abs(bad.inner_objective - cold.inner_objective) <= 1e-6
 
 
+def _bits(state):
+    """Every field of an ELDualState as bytes, so equality is bit for bit."""
+    return [np.asarray(getattr(state, f.name)).tobytes() for f in fields(ELDualState)]
+
+
+def test_dense_input_solves_as_its_own_matrix_products(monkeypatch):
+    """On criterion 1's fixtures, the dense input (wrapped with a = 1 and no
+    border) gives the ELDualState of the same loop run on the matrix's own
+    products g @ v, g.T @ u and the syrk Hessian, bit for bit."""
+    from survcbps import solver
+
+    rng = np.random.default_rng(11)
+    cases = [random_moment_matrix(rng)[0] for _ in range(100)]
+    states = [solve_inner_dual(g) for g in cases]
+    monkeypatch.setattr(_Moments, "dot", lambda self, v: self.x @ v)
+    monkeypatch.setattr(_Moments, "tdot", lambda self, u: self.x.T @ u)
+    monkeypatch.setattr(solver, "_moment_gram", lambda g, h: _weighted_gram(g.x, h))
+    for g, state in zip(cases, states):
+        assert _bits(state) == _bits(solve_inner_dual(g))
+
+
 def test_inner_dual_input_validation():
     with pytest.raises(sc.InputError):
         solve_inner_dual(np.zeros(3))
@@ -200,12 +229,12 @@ def test_a_stale_factor_is_refreshed(toy_data):
     gm = _toy_moments(path, np.array([0.3, -0.2, 0.1]))
     m = gm.shape[1]
     ref = solve_inner_dual(gm)
-    # -log*'' is 1 at lam = 0, so these are Hessians of the scaled matrix:
-    # x100 makes the chord step tiny, /100 makes it overshoot and fail,
-    # and x1e10 puts its model gain below the resolution of the objective,
-    # which must not pass for a stall
+    # -log*'' is 1 at lam = 0, so these are Hessians of the scaled matrix
+    # c g, whose Hessian there is g' diag(c^2) g: x100 makes the chord step
+    # tiny, /100 makes it overshoot and fail, and x1e10 puts its model gain
+    # below the resolution of the objective, which must not pass for a stall
     scaled = [
-        _weighted_gram(c * gm, np.ones(gm.shape[0]))
+        _moment_gram(gm, np.full(gm.shape[0], c * c))
         for c in (100.0, 0.01, 1e10)
     ]
     for hess in [np.eye(m + 1), *scaled]:
@@ -237,6 +266,13 @@ def test_a_stall_at_the_first_step_is_certified_by_a_fresh_hessian():
     assert state.iterations == 0
 
 
+def test_a_non_finite_beta_fails_in_the_paths_inner_solve(toy_data):
+    """The path's inner solve checks the per-beta vectors of its operator."""
+    path, _, _ = _toy_path(toy_data)
+    with pytest.raises(sc.InputError, match="finite"):
+        path.q_eval(np.array([0.2, np.nan, 0.1]), None)
+
+
 def test_path_q_eval_composes_inner_and_penalty(toy_data):
     path, k1, k0 = _toy_path(toy_data)
     beta = np.array([0.2, -0.1, 0.05])  # internal coordinates
@@ -258,7 +294,7 @@ def test_profile_gradient_matches_finite_differences(toy_data):
         beta = rng.uniform(-0.25, 0.25, toy_data.p)
         _, state, gm, slopes = path.q_eval(beta, None)
         state = solve_inner_dual(gm, state.lam, tol=1e-12)
-        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / path.n, derivs=True)[1]
+        row_scale = _logstar(1.0 + gm.dot(state.lam), 1.0 / path.n, derivs=True)[1]
         grad = _profile_grad(path.x, slopes, state.lam, row_scale)
         h = 1e-5
         for j in range(toy_data.p):
@@ -516,7 +552,7 @@ def test_select_tau_inner_call_budget(toy_data, monkeypatch):
 def test_select_tau_inner_hessian_budget(toy_data, monkeypatch):
     k1 = sc.fit_censoring_km(toy_data, 1)
     k0 = sc.fit_censoring_km(toy_data, 0)
-    grams = _count_calls(monkeypatch, "_weighted_gram")
+    grams = _count_calls(monkeypatch, "_moment_gram")
     states = []
     real = solve_inner_dual
 
@@ -535,7 +571,7 @@ def test_select_tau_wide_inner_hessian_budget(monkeypatch):
     data, _ = sc.generate_dataset(sc.SimConfig(n=2000, p=100, seed=7), 0)
     k1 = sc.fit_censoring_km(data, 1)
     k0 = sc.fit_censoring_km(data, 0)
-    grams = _count_calls(monkeypatch, "_weighted_gram")
+    grams = _count_calls(monkeypatch, "_moment_gram")
     curvatures = _count_calls(monkeypatch, "_mean_jacobian")
     tau, fit = select_tau(data, k1, k0)
     # a Newton step to certify every stall took 151; contracting chord
@@ -546,6 +582,22 @@ def test_select_tau_wide_inner_hessian_budget(monkeypatch):
     assert len(curvatures) <= 45
     assert tau == default_tau_grid(data.n, data.p)[7]
     assert fit.active_set.tolist() == [0, 1, 2, 3, 4, 89]
+
+
+def test_select_tau_peak_memory_stays_below_a_few_moment_matrices():
+    """One select_tau at (2000, 100) allocates at its traced peak, above the
+    data and curves, at most 3.5 n (p + 2) doubles: the path keeps no dense
+    moment matrix per beta. Building one per beta took 4.4 of them."""
+    data, _ = sc.generate_dataset(sc.SimConfig(n=2000, p=100, seed=7), 0)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    tracemalloc.start()
+    try:
+        select_tau(data, k1, k0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * data.n * (data.p + 2) * 8
 
 
 def test_select_tau_fails_fast_when_the_start_is_infeasible(monkeypatch):
@@ -668,7 +720,7 @@ def test_every_fit_on_a_path_is_stationary(toy_data, monkeypatch):
         on = beta != 0.0
         _, state, gm, slopes = path.q_eval(beta, None)
         state = solve_inner_dual(gm, state.lam, tol=1e-12)
-        row_scale = _logstar(1.0 + gm @ state.lam, 1.0 / n, derivs=True)[1]
+        row_scale = _logstar(1.0 + gm.dot(state.lam), 1.0 / n, derivs=True)[1]
         grad = _profile_grad(path.x, slopes, state.lam, row_scale)
         slope = sc.scad_derivative(np.abs(beta[on]), ScadParams(lam=fit.tau))
         penalized = grad[on] + n * slope * np.sign(beta[on])

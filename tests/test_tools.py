@@ -27,3 +27,6 @@ def test_layer_costs_counts_every_layer():
     assert "error" not in row
     for key in ("curvatures", "hessians", "inner_calls", "outer_steps"):
         assert row[key] > 0, key
+    # memory as a library caller sees it
+    for key in ("minflt", "traced_peak_mb"):
+        assert row[key] >= 0, key

@@ -5,7 +5,12 @@
 
 For each n x p size and replication k, draws `SimConfig(n, p, seed)`
 replication k, fits both censoring curves, and times `select_tau` and
-`ate_with_ci` (the fastest of --passes passes is kept). It counts the
+`ate_with_ci` (the fastest of --passes passes is kept). `minflt` is the
+most minor page faults (`ru_minflt`) of any timed `select_tau`, as a
+library caller sees them: this tool never calls `cli.main`, so glibc's
+malloc keeps its default trim and mmap thresholds. `traced_peak_mb` is
+the tracemalloc peak of one more, untimed `select_tau`, above the data and
+curves it is handed, in MiB. It counts the
 inner dual calls, their Newton plus chord steps and their Hessians by
 wrapping `solver.solve_inner_dual` and summing the returned state's
 iterations and hessians, the outer curvature builds by wrapping
@@ -23,8 +28,10 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,11 +74,12 @@ def one_size(sc, solver, n, p, seed, rep, passes):
     k1 = sc.fit_censoring_km(data, 1)
     k0 = sc.fit_censoring_km(data, 0)
     out = {"n": n, "p": p, "seed": seed, "rep": rep}
-    tau_s, ate_s = [], []
+    tau_s, ate_s, faults = [], [], []
     for _ in range(passes):
         counts = {"hessians": 0, "inner_calls": 0, "steps": 0,
                   "curvatures": 0, "outer_steps": 0}
         restore = wrap_counts(solver, counts)
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         try:
             tau, fit = solver.select_tau(data, k1, k0)
@@ -80,16 +88,31 @@ def one_size(sc, solver, n, p, seed, rep, passes):
             continue
         finally:
             tau_s.append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             restore()
         t1 = time.perf_counter()
         res = sc.ate_with_ci(data, fit, k1, k0)
         ate_s.append(time.perf_counter() - t1)
         out.update(tau=tau, active_set=fit.active_set.tolist(),
                    converged=fit.converged, ate=res.ate, se=res.se)
-    out.update(counts, select_tau_s=min(tau_s))
+    out.update(counts, select_tau_s=min(tau_s), minflt=max(faults),
+               traced_peak_mb=traced_peak(sc, solver, data, k1, k0))
     if ate_s:
         out["ate_with_ci_s"] = min(ate_s)
     return out
+
+
+def traced_peak(sc, solver, data, k1, k0):
+    """tracemalloc peak, in MiB, of one select_tau above its inputs."""
+    tracemalloc.start()
+    try:
+        solver.select_tau(data, k1, k0)
+    except sc.SurvCbpsError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def main(argv=None):
