@@ -19,6 +19,7 @@ from .errors import (
     DegenerateArmError,
     DumpFormatError,
     FitError,
+    InfeasibleBalanceError,
     InputError,
     RowParseError,
     SchemaError,
@@ -61,6 +62,7 @@ __all__ = [
     "DegenerateArmError",
     "DumpFormatError",
     "FitError",
+    "InfeasibleBalanceError",
     "InputError",
     "PELFit",
     "PropensityParams",

@@ -34,6 +34,25 @@ class FitError(SurvCbpsError):
     """Optimization failed in a way that leaves no usable fit."""
 
 
+class InfeasibleBalanceError(FitError):
+    """No positive weights balance the moment rows exactly.
+
+    The inner dual found a direction lam with lam' g_i > 0 for every row
+    g_i, which separates 0 from the rows, so the dual is unbounded.
+    certificate is the lam found at beta = 0, in the original covariate
+    scale and scaled to unit length: it has certificate' g_i > 0 for every
+    row of stack_g at beta = 0, and one entry per moment.
+    """
+
+    def __init__(self, certificate):
+        self.certificate = certificate
+        super().__init__(
+            f"exact balance of {len(certificate)} moments is infeasible at "
+            "this beta: at both starting points a dual direction lam has "
+            "lam' g_i > 0 for every row"
+        )
+
+
 class SelectionError(FitError):
     """No candidate on the tuning grid could be fitted."""
 

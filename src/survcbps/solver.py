@@ -51,7 +51,13 @@ solve. A chord step whose model gain is below the resolution of the
 objective ends the solve as a converged stall once the solve has accepted
 a step, all of which were then contracting chord steps; at the first step
 it hands over to a fresh Newton step instead, so a stale Hessian cannot
-pass for a stall. One pass over the rows at each beta,
+pass for a stall. The solve stops, unconverged, at the first accepted
+iterate where every z_i = 1 + lam' g_i exceeds 1: such a lam separates 0
+from the moment rows, no positive weights balance them, and the dual
+grows without bound along it (Owen 2001, Empirical Likelihood, ch. 3).
+When both starting points of a fit stop this way, fit_pel raises
+InfeasibleBalanceError with that lam as the certificate. One pass over
+the rows at each beta,
 moments._moment_rows, gives the moment operator and the slopes from which
 the outer step's profile gradient and Jacobian follow; no n x m array is
 formed on the path.
@@ -77,6 +83,14 @@ The first fit on a path starts at the one-row case of the shared
 logistic fit, moments._logistic_mle, from 0 with ridge 1e-4 (beta = 0 if that is
 not finite).
 
+The BIC score 2 phi + |A| log n has phi >= 0, since the dual starts at
+lam = 0, where phi = 0, and accepts only increases. So select_tau ends
+the path after the first fit whose |A| log n alone is no lower than the
+bar a later score must get under to replace the best one: no later fit
+with a support at least as large can win (the pathwise idea of Friedman,
+Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)). The stop is exact
+whenever no later support is smaller.
+
 The outer curvature n * G' V^{-1} G does not depend on tau, so the path
 also keeps the last one formed: the chord idea of the inner dual applied to
 the outer loop. An outer step forms a fresh curvature only when none is
@@ -97,7 +111,12 @@ import numpy as np
 
 from .censoring import CensorSurvival
 from .data import Dataset
-from .errors import FitError, InputError, SelectionError
+from .errors import (
+    FitError,
+    InfeasibleBalanceError,
+    InputError,
+    SelectionError,
+)
 from .moments import (
     PropensityParams,
     _check_clip,
@@ -134,7 +153,10 @@ class ELDualState:
     positive. They depend on lam only through the products lam' g_i, so
     fit_pel's map of lam to the original scale leaves them valid there.
     iterations counts the accepted Newton and chord steps, hessians the
-    Hessians formed and factored.
+    Hessians formed and factored. separated is True when the solve stopped,
+    unconverged, at a lam with lam' g_i > 0 for every row: such a lam
+    separates 0 from the rows, so no positive weights balance them and the
+    dual is unbounded.
     """
 
     lam: np.ndarray
@@ -144,6 +166,7 @@ class ELDualState:
     iterations: int
     converged: bool
     hessians: int = 0
+    separated: bool = False
 
 
 class _FactorSlot:
@@ -239,7 +262,9 @@ def solve_inner_dual(
     gmat is the n x m moment matrix, dense or as a moments._Moments; the
     solve uses only its products g v, g' u and g' diag(h) g. factor, when
     given, holds an earlier Hessian of the same size; the solve may step
-    with its inverse first and leaves its last fresh Hessian there.
+    with its inverse first and leaves its last fresh Hessian there. The
+    solve stops, unconverged and separated, at the first accepted iterate
+    where every 1 + lam' g_i exceeds 1.
     """
     g = _as_moments(gmat)
     n, m = g.shape
@@ -264,7 +289,7 @@ def solve_inner_dual(
     gnorm = float(np.max(np.abs(grad))) if m else 0.0
     iters = 0
     hessians = 0
-    stalled = False
+    stalled = separated = False
     # chord steps run from the first step only, while each one contracts
     chord = slot.hess is not None and slot.hess.shape == (m, m)
     while iters < _INNER_MAX_ITER and gnorm > tol:
@@ -325,14 +350,20 @@ def solve_inner_dual(
         grad = g.tdot(d1)
         gnorm, last = float(np.max(np.abs(grad))), gnorm
         chord = chord and gnorm <= 0.5 * last
+        if z.min() > 1.0:
+            # lam' g_i > 0 for every row: the objective grows without bound
+            # along lam, so no step count reaches a maximum
+            separated = True
+            break
     return ELDualState(
         lam=lam,
         weights=d1 / n,
         inner_objective=val,
         grad_norm=gnorm,
         iterations=iters,
-        converged=bool(gnorm <= tol or stalled),
+        converged=bool((gnorm <= tol or stalled) and not separated),
         hessians=hessians,
+        separated=separated,
     )
 
 
@@ -387,6 +418,13 @@ class _Path:
         h_el = self.n * (jac.T @ _vinv_jac(g, jac))
         self.h_el = 0.5 * (h_el + h_el.T)
 
+    def lam_original(self, lam):
+        """lam mapped to the original covariate scale: the products
+        lam' g_i, and with them the EL weights, stay the same."""
+        lam = lam.copy()
+        lam[: self.p] /= self.scales
+        return lam
+
 
 def fit_pel(
     data: Dataset,
@@ -420,10 +458,15 @@ def fit_pel(
     if not math.isfinite(q_cur):
         # the fallback starts cold, so its failure does not depend on tau,
         # and forms its own curvature
+        separated = state.separated
         beta = np.zeros(p)
         path.h_el = None
         q_cur, state, gm, slopes = path.q_eval(beta, scad)
         if not math.isfinite(q_cur):
+            if separated and state.separated:
+                cert = path.lam_original(state.lam)
+                cert /= np.linalg.norm(cert)
+                raise InfeasibleBalanceError(cert)
             raise FitError("inner dual did not converge at the initial point")
 
     trace = [q_cur]
@@ -480,14 +523,12 @@ def fit_pel(
 
     path.beta, path.lam = beta, state.lam
     beta_orig = beta / path.scales
-    lam_orig = state.lam.copy()
-    lam_orig[:p] = lam_orig[:p] / path.scales
     active = np.flatnonzero(beta_orig != 0.0)
     return PELFit(
         beta_hat=beta_orig,
         active_set=active,
         tau=float(scad.lam) if scad is not None else 0.0,
-        dual=replace(state, lam=lam_orig),
+        dual=replace(state, lam=path.lam_original(state.lam)),
         outer_iterations=outer,
         objective_trace=np.asarray(trace),
         converged=converged,
@@ -525,8 +566,13 @@ def select_tau(
     replaces the incumbent only when it is lower by more than
     1e-9 * (1 + |incumbent|). Scores equal up to rounding thus resolve
     toward the larger tau, and the outcome does not depend on the order of
-    the supplied grid. The path stops at the first failed fit: the best fit
-    so far is returned, or SelectionError raised if none. A fixed tau is
+    the supplied grid. The EL term is never negative, so a fit whose
+    |active set| * log n alone is no lower than the incumbent less that
+    margin ends the path: no later fit with a support at least as large
+    can win. The stop picks what the full path picks whenever no later
+    support is smaller. The path also stops at the first failed fit: the
+    best fit so far is returned, or, if none, SelectionError raised, whose
+    message says that the failure does not depend on tau. A fixed tau is
     the one-value grid [tau]; the SCAD knot is ScadParams' default.
     """
     if grid is None:
@@ -544,10 +590,18 @@ def select_tau(
             # it was: every smaller tau would fail the same way
             if best is None:
                 raise SelectionError(
-                    f"fit at tau={float(tau):.6g} failed: {exc}"
+                    f"fit at tau={float(tau):.6g} failed: {exc}; the "
+                    "failure does not depend on tau, so no tau on the grid "
+                    "can fit"
                 ) from exc
             break
-        score = 2.0 * fit.dual.inner_objective + fit.active_set.size * logn
-        if best is None or score < best[0] - 1e-9 * (1.0 + abs(best[0])):
+        floor = fit.active_set.size * logn
+        score = 2.0 * fit.dual.inner_objective + floor
+        if best is None or score < bar:
             best = (score, float(tau), fit)
+            bar = score - 1e-9 * (1.0 + abs(score))
+        # a later fit scores at least its own |active set| * log n, so one
+        # whose support is no smaller cannot clear the bar
+        if floor >= bar:
+            break
     return best[1], best[2]

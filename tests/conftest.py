@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import survcbps as sc
 from survcbps.inference import _sandwich
 from survcbps.moments import _Moments
+from survcbps.solver import _Path
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -40,6 +42,27 @@ def sandwich_sigma(fit, data, k1, k0):
     params = fit.params
     g1 = sc.jacobian_g(params, data, k1, k0)[:, fit.active_set]
     return _sandwich(_Moments(sc.stack_g(params, data, k1, k0)), g1)[0]
+
+
+def full_path_select(data, k1, k0, clip=0.01):
+    """select_tau without its early stop: (tau, fit, every fit).
+
+    Fits every tau of the default grid, largest first, on one warm-started
+    path and scores each as select_tau does: 2 * EL term + |active set| *
+    log n, replacing the incumbent only below 1e-9 * (1 + |incumbent|)
+    under it. The reference the stopped path must reproduce.
+    """
+    path = _Path(data, k1, k0, clip)
+    logn = math.log(data.n)
+    best, fits = None, []
+    for tau in sc.default_tau_grid(data.n, data.p)[::-1]:
+        scad = sc.ScadParams(lam=float(tau))
+        fit = sc.fit_pel(data, k1, k0, scad, _path=path)
+        fits.append(fit)
+        score = 2.0 * fit.dual.inner_objective + fit.active_set.size * logn
+        if best is None or score < best[0] - 1e-9 * (1.0 + abs(best[0])):
+            best = (score, float(tau), fit)
+    return best[1], best[2], fits
 
 
 def ipcw_hajek_means(y, delta, d, pi, kdy):

@@ -432,7 +432,10 @@ def test_every_failure_type_has_one_row_in_the_table(exc_type, capsys, monkeypat
     rows = [row for row in cli._FAILURES if issubclass(exc_type, row[0])]
     assert len(rows) == 1
     _, category, code = rows[0]
-    args = (3, "x1", "not a number") if exc_type is sc.RowParseError else ("boom",)
+    args = {
+        sc.RowParseError: (3, "x1", "not a number"),
+        sc.InfeasibleBalanceError: (np.full(4, 0.5),),
+    }.get(exc_type, ("boom",))
     exc = exc_type(*args)
 
     def raise_it(args):

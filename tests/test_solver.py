@@ -27,7 +27,12 @@ from survcbps.solver import (
     select_tau,
     solve_inner_dual,
 )
-from tests.conftest import BAD_CLIPS, Untouched, small_dataset
+from tests.conftest import (
+    BAD_CLIPS,
+    Untouched,
+    full_path_select,
+    small_dataset,
+)
 
 
 def oracle_pseudo_log(z, eps):
@@ -573,13 +578,16 @@ def test_select_tau_wide_inner_hessian_budget(monkeypatch):
     k0 = sc.fit_censoring_km(data, 0)
     grams = _count_calls(monkeypatch, "_moment_gram")
     curvatures = _count_calls(monkeypatch, "_mean_jacobian")
+    fits = _count_calls(monkeypatch, "fit_pel")
     tau, fit = select_tau(data, k1, k0)
+    # the full path fits all 20 taus; the stop skips the largest supports
+    assert len(fits) <= 17
     # a Newton step to certify every stall took 151; contracting chord
     # steps certify most of them
     assert len(grams) <= 75
     # also dropping the kept outer curvature at each change of support or
-    # clip mask took 65
-    assert len(curvatures) <= 45
+    # clip mask took 65, and the full path 38
+    assert len(curvatures) <= 30
     assert tau == default_tau_grid(data.n, data.p)[7]
     assert fit.active_set.tolist() == [0, 1, 2, 3, 4, 89]
 
@@ -600,16 +608,122 @@ def test_select_tau_peak_memory_stays_below_a_few_moment_matrices():
     assert peak <= 3.5 * data.n * (data.p + 2) * 8
 
 
-def test_select_tau_fails_fast_when_the_start_is_infeasible(monkeypatch):
-    data = small_dataset(seed=4, n=300, p=150)
+def _inner_states(monkeypatch):
+    """Wrap solver.solve_inner_dual; collect the states it returns."""
+    from survcbps import solver
+
+    real = solver.solve_inner_dual
+    states = []
+
+    def inner(*args, **kwargs):
+        states.append(real(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(solver, "solve_inner_dual", inner)
+    return states
+
+
+def _infeasible_path_error(data, monkeypatch):
+    """Check that select_tau on data fails at its first, largest tau with
+    an InfeasibleBalanceError cause, in few inner steps."""
     k1 = sc.fit_censoring_km(data, 1)
     k0 = sc.fit_censoring_km(data, 0)
     fits = _count_calls(monkeypatch, "fit_pel")
+    states = _inner_states(monkeypatch)
     # the path is visited from the largest tau down
     first = re.escape(f"tau={default_tau_grid(data.n, data.p)[-1]:.6g}")
-    with pytest.raises(sc.SelectionError, match=first + ".*initial point"):
+    with pytest.raises(sc.SelectionError, match=first) as info:
         select_tau(data, k1, k0)
+    assert "does not depend on tau" in str(info.value)
+    cause = info.value.__cause__
+    assert isinstance(cause, sc.InfeasibleBalanceError)
+    assert f"exact balance of {data.p + 2} moments is infeasible" in str(cause)
     assert len(fits) == 1
+    # the path start and the beta = 0 fallback, each stopped at a
+    # separating lam well before the 100-step cap
+    assert len(states) == 2
+    assert all(s.separated and not s.converged for s in states)
+    assert all(s.iterations < 100 for s in states)
+    # the certificate separates 0 from the rows of stack_g at beta = 0
+    params = sc.PropensityParams(beta=np.zeros(data.p), clip=0.01)
+    cert = cause.certificate
+    assert math.isclose(float(np.linalg.norm(cert)), 1.0)
+    assert np.all(sc.stack_g(params, data, k1, k0) @ cert > 0.0)
+
+
+def test_select_tau_fails_fast_when_the_start_is_infeasible(monkeypatch):
+    _infeasible_path_error(small_dataset(seed=4, n=300, p=150), monkeypatch)
+
+
+@pytest.mark.parametrize("p, rep", [(120, 0), (150, 0), (150, 1), (150, 2)])
+def test_infeasible_high_dimensional_designs_fail_typed(p, rep, monkeypatch):
+    """At n = 300, seed 7, these four designs cannot be balanced exactly at
+    either start; the solve used to spend its 100 steps there twice."""
+    data, _ = sc.generate_dataset(sc.SimConfig(n=300, p=p, seed=7), rep)
+    _infeasible_path_error(data, monkeypatch)
+
+
+@pytest.mark.parametrize("p, rep", [(120, 1), (100, 0)])
+def test_feasible_high_dimensional_designs_never_separate(p, rep, monkeypatch):
+    """Neighbours of the infeasible designs fit, and no inner solve on
+    their paths stops at a separating lam."""
+    data, _ = sc.generate_dataset(sc.SimConfig(n=300, p=p, seed=7), rep)
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    states = _inner_states(monkeypatch)
+    _, fit = select_tau(data, k1, k0)
+    assert fit.converged
+    assert states and not any(s.separated for s in states)
+
+
+def test_inner_dual_stops_at_a_separating_lam():
+    """Rows that all lean one way admit no balancing weights: the solve
+    stops at the first lam with lam' g_i > 0 for every row."""
+    g = np.array([[1.0, 0.3], [2.0, -0.5], [0.5, 0.1]])
+    state = solve_inner_dual(g)
+    assert state.separated and not state.converged
+    assert state.iterations < 100
+    assert np.all(g @ state.lam > 0.0)
+    # a feasible matrix never separates
+    rng = np.random.default_rng(0)
+    feasible, _ = random_moment_matrix(rng)
+    state = solve_inner_dual(feasible)
+    assert state.converged and not state.separated
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["toy", "toy_uncensored", "p10_rep0", "p10_rep1", "p10_rep6", "wide"],
+)
+def test_the_stopped_path_picks_the_full_paths_fit(case, monkeypatch):
+    """The early stop is exact here: select_tau picks what fitting every
+    tau picks, bit for bit, and no support on the full path shrinks after
+    the tau where the stop fired."""
+    p10 = sc.SimConfig(n=500, p=10, beta_nonzero=3, seed=2026)
+    data = {
+        "toy": lambda: small_dataset(seed=3),
+        "toy_uncensored": lambda: small_dataset(seed=5, censor=False),
+        "p10_rep0": lambda: sc.generate_dataset(p10, 0)[0],
+        "p10_rep1": lambda: sc.generate_dataset(p10, 1)[0],
+        "p10_rep6": lambda: sc.generate_dataset(p10, 6)[0],
+        "wide": lambda: sc.generate_dataset(
+            sc.SimConfig(n=2000, p=100, seed=7), 0
+        )[0],
+    }[case]()
+    k1 = sc.fit_censoring_km(data, 1)
+    k0 = sc.fit_censoring_km(data, 0)
+    fits = _count_calls(monkeypatch, "fit_pel")
+    tau, fit = select_tau(data, k1, k0)
+    ref_tau, ref_fit, path_fits = full_path_select(data, k1, k0)
+    assert tau == ref_tau
+    np.testing.assert_array_equal(fit.active_set, ref_fit.active_set)
+    assert fit.beta_hat.tobytes() == ref_fit.beta_hat.tobytes()
+    assert fit.converged == ref_fit.converged
+    sizes = [f.active_set.size for f in path_fits]
+    assert sizes[len(fits) - 1:] == sorted(sizes[len(fits) - 1:])
+    if case.startswith(("p10", "wide")):
+        # the stop fired: the smallest taus were never fitted
+        assert len(fits) < len(path_fits) == 20
 
 
 def test_select_tau_keeps_the_best_fit_before_a_failure(toy_data, monkeypatch):

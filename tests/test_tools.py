@@ -25,7 +25,7 @@ def test_layer_costs_counts_every_layer():
     assert len(rows) == 1
     row = rows[0]
     assert "error" not in row
-    for key in ("curvatures", "hessians", "inner_calls", "outer_steps"):
+    for key in ("curvatures", "fits", "hessians", "inner_calls", "outer_steps"):
         assert row[key] > 0, key
     # memory as a library caller sees it
     for key in ("minflt", "traced_peak_mb"):

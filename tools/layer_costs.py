@@ -15,8 +15,10 @@ inner dual calls, their Newton plus chord steps and their Hessians by
 wrapping `solver.solve_inner_dual` and summing the returned state's
 iterations and hessians, the outer curvature builds by wrapping
 `solver._mean_jacobian`, which only the curvature build calls, and the
-outer steps by wrapping `solver.fit_pel` and summing its
-outer_iterations. A failing path is reported with its error and time.
+outer steps and the taus fitted (`fits`; the path stops early once no
+later tau can win) by wrapping `solver.fit_pel`, summing its
+outer_iterations and counting its calls. A failing path is reported
+with its error and time.
 --src picks the package tree, so two checkouts can be compared on one
 machine; BLAS runs on one thread. Prints one JSON document.
 """
@@ -56,6 +58,7 @@ def wrap_counts(solver, counts):
 
     def fit(*args, **kwargs):
         result = real["fit_pel"](*args, **kwargs)
+        counts["fits"] += 1
         counts["outer_steps"] += result.outer_iterations
         return result
 
@@ -77,7 +80,7 @@ def one_size(sc, solver, n, p, seed, rep, passes):
     tau_s, ate_s, faults = [], [], []
     for _ in range(passes):
         counts = {"hessians": 0, "inner_calls": 0, "steps": 0,
-                  "curvatures": 0, "outer_steps": 0}
+                  "curvatures": 0, "outer_steps": 0, "fits": 0}
         restore = wrap_counts(solver, counts)
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
