@@ -198,10 +198,17 @@ def _bootstrap(data, y, delta, d, point_fn, *, clip, floors, start, n_boot,
     return float(boots.std(ddof=1))
 
 
-def _check_n_boot(n_boot, error=InputError):
-    """Raise ``error`` unless at least one bootstrap resample is asked for."""
+def _check_n_boot(n_boot):
+    """Raise InputError unless at least one bootstrap resample is asked for."""
     if n_boot < 1:
-        raise error("n_boot must be >= 1")
+        raise InputError("n_boot must be >= 1")
+
+
+def _check_seed(seed):
+    """Raise InputError unless seed is a non-negative integer, as numpy's
+    SeedSequence takes it."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError("seed must be a non-negative integer")
 
 
 def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
@@ -215,6 +222,7 @@ def _fit_baseline(data, k1, k0, point_fn, *, clip, level, n_boot, stream):
     _check_clip(clip)
     _z_value(level)
     _check_n_boot(n_boot)
+    _check_seed(stream[0])
     notes = []
     if data.n <= data.p:
         notes.append("n <= p: logistic MLE is unstable, ridge 1e-6 applied")

@@ -36,10 +36,10 @@ from .data import Dataset
 from .errors import DegenerateArmError, InputError
 
 
-def _check_floor(floor, error=InputError):
-    """Raise ``error`` unless the curve floor lies in (0, 1); NaN fails too."""
+def _check_floor(floor):
+    """Raise InputError unless the curve floor lies in (0, 1); NaN fails too."""
     if not 0.0 < floor < 1.0:
-        raise error("floor must lie in (0, 1)")
+        raise InputError("floor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

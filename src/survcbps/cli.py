@@ -59,15 +59,6 @@ from .simulation import (
 )
 from .solver import _check_tau_grid, select_tau
 
-# glibc's malloc raises its mmap threshold to the largest block freed so far,
-# up to 32 MB, and gives free heap above twice that back to the OS. The
-# solver's loop allocates and frees arrays of n x p floats, so unless a larger
-# block was freed first, glibc trims that heap and faults it in again: 13 000
-# to 25 000 page faults per (2000, 100) fit, 7% of its time. Setting the
-# thresholds glibc reaches by itself after freeing a 32 MB block keeps the
-# heap for reuse instead. (mallopt option numbers, from glibc's malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
 _EXIT_OK = 0
 _EXIT_INPUT = 2
 _EXIT_CONVERGENCE = 3
@@ -253,22 +244,7 @@ def cmd_report(args) -> int:
     return _EXIT_OK
 
 
-def _keep_freed_heap() -> None:
-    """Have glibc's malloc keep freed heap for reuse; a no-op off Linux."""
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

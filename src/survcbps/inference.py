@@ -149,15 +149,15 @@ def _sandwich(g, g1):
     return sigma, vinv_g1
 
 
-def _z_value(level, error=InputError):
-    """The two-sided normal quantile of ``level``; ``error`` unless 0 < level < 1.
+def _z_value(level):
+    """The two-sided normal quantile of ``level``; InputError unless 0 < level < 1.
 
     A level within an ulp of 1 rounds 0.5 + level / 2 up to 1, whose
     quantile is infinite, so it fails too.
     """
     q = 0.5 + level / 2.0
     if not 0.0 < level < 1.0 or q == 1.0:
-        raise error("level must lie in (0, 1)")
+        raise InputError("level must lie in (0, 1)")
     return NormalDist().inv_cdf(q)
 
 

@@ -75,10 +75,10 @@ def expit(z):
     return out if out.ndim else float(out)
 
 
-def _check_clip(clip, error=InputError):
-    """Raise ``error`` unless the clip bound lies in (0, 0.5); NaN fails too."""
+def _check_clip(clip):
+    """Raise InputError unless the clip bound lies in (0, 0.5); NaN fails too."""
     if not 0.0 < clip < 0.5:
-        raise error("clip must lie in (0, 0.5)")
+        raise InputError("clip must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .baselines import _check_n_boot, fit_aipw, fit_cbps_unpenalized, fit_naive_ipw
+from .baselines import (
+    _check_n_boot, _check_seed, fit_aipw, fit_cbps_unpenalized, fit_naive_ipw,
+)
 from .censoring import _check_floor, fit_censoring_km
 from .data import Dataset
 from .errors import ConfigError, DumpFormatError, InputError, SurvCbpsError
@@ -96,10 +98,14 @@ class SimConfig:
                 raise ConfigError(
                     f"unknown estimator {name!r}; known: {ESTIMATOR_ORDER}"
                 )
-        _check_clip(self.clip, ConfigError)
-        _check_floor(self.km_floor, ConfigError)
-        _z_value(self.level, ConfigError)
-        _check_n_boot(self.n_boot, ConfigError)
+        try:
+            _check_clip(self.clip)
+            _check_floor(self.km_floor)
+            _z_value(self.level)
+            _check_n_boot(self.n_boot)
+            _check_seed(self.seed)
+        except InputError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -358,7 +364,8 @@ def true_ate(config: SimConfig) -> float:
 
 
 def generate_dataset(config: SimConfig, rep_seed: int):
-    """One replication: (Dataset, TruthRecord)."""
+    """One replication: (Dataset, TruthRecord); InputError for a negative rep_seed."""
+    _check_seed(rep_seed)
     rng = _stream(config, _STREAM_DATA, rep_seed)
     chol = _chol(config)
     beta, gamma = build_beta(config), build_gamma(config)

@@ -207,6 +207,12 @@ def test_bad_n_boot_fails_before_any_work(arms, fit, n_boot):
         fit(arms[0], Untouched(), Untouched(), n_boot=n_boot)
 
 
+@pytest.mark.parametrize("fit", [fit_naive_ipw, fit_aipw])
+def test_negative_seed_fails_before_any_work(arms, fit):
+    with pytest.raises(sc.InputError, match="seed must be a non-negative integer"):
+        fit(arms[0], Untouched(), Untouched(), seed=-1)
+
+
 def test_cbps_unpenalized_equals_tau_zero_path(arms):
     data, k1, k0 = arms
     res = fit_cbps_unpenalized(data, k1, k0)

@@ -73,6 +73,11 @@ def test_config_rejects_bad_n_boot(n_boot):
         SimConfig(n_boot=n_boot)
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(sc.ConfigError, match="seed must be a non-negative integer"):
+        SimConfig(seed=-1)
+
+
 def test_coefficient_vectors():
     cfg = SimConfig(p=6, beta_nonzero=4, beta_magnitude=0.4,
                     gamma_nonzero=2, gamma_magnitude=0.2)
@@ -247,6 +252,11 @@ def test_generate_dataset_deterministic_per_rep():
     np.testing.assert_array_equal(a1.y, a2.y)
     np.testing.assert_array_equal(a1.x, a2.x)
     assert not np.array_equal(a1.y, b.y)
+
+
+def test_generate_dataset_rejects_a_negative_rep_seed():
+    with pytest.raises(sc.InputError, match="seed must be a non-negative integer"):
+        generate_dataset(SimConfig(n=80, p=4, beta_nonzero=2, gamma_nonzero=2), -1)
 
 
 def test_sample_ate_tracks_population_truth():

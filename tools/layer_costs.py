@@ -6,11 +6,9 @@
 For each n x p size and replication k, draws `SimConfig(n, p, seed)`
 replication k, fits both censoring curves, and times `select_tau` and
 `ate_with_ci` (the fastest of --passes passes is kept). `minflt` is the
-most minor page faults (`ru_minflt`) of any timed `select_tau`, as a
-library caller sees them: this tool never calls `cli.main`, so glibc's
-malloc keeps its default trim and mmap thresholds. `traced_peak_mb` is
-the tracemalloc peak of one more, untimed `select_tau`, above the data and
-curves it is handed, in MiB. It counts the
+most minor page faults (`ru_minflt`) of any timed `select_tau`.
+`traced_peak_mb` is the tracemalloc peak of one more, untimed
+`select_tau`, above the data and curves it is handed, in MiB. It counts the
 inner dual calls, their Newton plus chord steps and their Hessians by
 wrapping `solver.solve_inner_dual` and summing the returned state's
 iterations and hessians, the outer curvature builds by wrapping
